@@ -6,7 +6,6 @@ output by mass-weighted consensus, and recovers when the speaker diverges
 from every named prediction.
 """
 
-from ._kernels import IMPLEMENTATION as KERNEL_IMPLEMENTATION
 from .engine import (OutOfOrderToken, OutputEvent, Session, catchup, deliver,
                      feed, finalize, start_session, step)
 from .metrics import (EmptyEmission, SessionReport, accuracy, average_lagging,
@@ -27,6 +26,9 @@ from .tree import (MatchOutcome, PredictionTree, TreeNode, advance, build_tree,
                    expand, leaf_hypotheses, prune)
 
 __version__ = "0.1.0"
+
+# Kept for run metadata written by the benchmark; there is one kernel implementation.
+KERNEL_IMPLEMENTATION = "pure"
 
 __all__ = [
     "KERNEL_IMPLEMENTATION", "__version__",

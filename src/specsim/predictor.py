@@ -213,6 +213,10 @@ def _http_post(url: str, payload: bytes, timeout_s: float) -> tuple[int, bytes]:
         return resp.status, resp.read()
 
 
+def _is_token_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(t, str) and t for t in value)
+
+
 class RemoteBackend:
     """HTTP predictor: POST {"context_id", "prefix", "k"} to <endpoint>/predict.
 
@@ -240,7 +244,7 @@ class RemoteBackend:
             raise NoPrediction(f"status {status}")
         try:
             items = self._parse(raw)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise NoPrediction(f"malformed response: {exc}") from exc
         return _cap(prediction_set(items), k)
 
@@ -249,12 +253,12 @@ class RemoteBackend:
         data = json.loads(raw.decode("utf-8"))
         preds = []
         for it in data["items"]:
-            cont = tuple(it["cont"])
-            p = float(it["p"])
-            tr = tuple(it["tr"])
-            if not cont or p <= 0:
-                raise ValueError(f"bad item {it!r}")
-            preds.append(Prediction(cont, p, tr))
+            cont, p, tr = it["cont"], it["p"], it["tr"]
+            if not (cont and _is_token_list(cont) and _is_token_list(tr)):
+                raise ValueError(f"bad tokens in item {it!r}")
+            if isinstance(p, bool) or not isinstance(p, (int, float)) or not (0 < p < math.inf):
+                raise ValueError(f"bad probability in item {it!r}")
+            preds.append(Prediction(tuple(cont), float(p), tuple(tr)))
         total = math.fsum(pr.p for pr in preds)
         if total > 1.0:  # remote overshoot: rescale proportionally
             preds = [Prediction(pr.continuation, pr.p / total, pr.translation)

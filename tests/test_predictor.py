@@ -158,6 +158,16 @@ def test_remote_overshoot_rescaled():
     {"body": b"not json"},
     {"items": [{"cont": [], "p": 0.5, "tr": []}]},
     {"items": [{"cont": ["x"], "p": -1, "tr": []}]},
+    {"items": [{"cont": ["x"], "p": float("nan"), "tr": ["tx"]}]},
+    {"items": [{"cont": ["x"], "p": float("inf"), "tr": ["tx"]}]},
+    {"items": [{"cont": "abc", "p": 0.5, "tr": ["tx"]}]},
+    {"items": [{"cont": ["x"], "p": 0.5, "tr": "xyz"}]},
+    {"items": [{"cont": ["x", ""], "p": 0.5, "tr": ["tx"]}]},
+    {"items": [{"cont": ["x"], "p": 0.5, "tr": [1]}]},
+    {"items": [{"cont": ["x"], "p": "0.5", "tr": ["tx"]}]},
+    {"items": [{"cont": ["x"], "p": True, "tr": ["tx"]}]},
+    {"items": [{"cont": ["x"], "p": 10 ** 400, "tr": ["tx"]}]},
+    {"body": b"[" * 100000 + b"]" * 100000},
 ])
 def test_remote_failures_surface_as_no_prediction(kwargs):
     backend = RemoteBackend("http://h:1", transport=fake_transport(**kwargs))
