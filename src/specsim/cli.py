@@ -123,8 +123,7 @@ def cmd_validate(args) -> int:
             problems.append(f"{path}: {exc}")
     for path in args.fixtures or []:
         try:
-            backend = load_scripted_fixture(_read(path, "fixture"))
-            problems.extend(f"{path}: {msg}" for msg in backend.validate())
+            load_scripted_fixture(_read(path, "fixture"))
         except ValueError as exc:
             problems.append(f"{path}: {exc}")
     for path in args.phrase_table or []:

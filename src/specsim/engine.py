@@ -6,8 +6,9 @@ re-prediction on the full observed prefix, buffer overflow triggers a direct
 catch-up translation, and a periodic perplexity check flags context drift.
 Emission is append-only: committed output is never retracted.
 
-One session is one logical execution stream; distinct sessions may run in
-parallel over shared immutable backends.
+One session is one logical execution stream and the one owner of its
+observed prefix. Distinct sessions may share a backend: NgramBackend's caches
+change its speed, never its predictions.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 
 from .metrics import SessionReport, compute_report
 from .phrases import PhraseTable, idiom_spans, translate
-from .predictor import Backend, NoPrediction, PredictionSet
+from .predictor import Backend, NoPrediction
 from .stream import ContextDoc, EngineConfig, TokenEvent, validate_config
 from .template import (RevisionConflict, TargetTemplate, all_hole_template,
                        consensus, emittable, extend_into_hole, fixed_template,
@@ -90,21 +91,19 @@ class Session:
         self.aux: tuple[str, ...] | None = None
         self.last_t = 0
         self.finalized = False
-        self.tree: PredictionTree = self._predict_tree(())
+        self.tree: PredictionTree = self._predict_tree()
         self._dirty = True
         self._baseline_ppl = self._context_perplexity()
 
     # -- predictor plumbing ------------------------------------------------
 
-    def _predict(self, prefix: Sequence[str]) -> PredictionSet | None:
+    def _predict_tree(self) -> PredictionTree:
+        prefix = tuple(self.observed)  # the one copy: backend query and tree anchor
         try:
-            return self.backend.predict(self.context, tuple(prefix),
-                                        self.config.k, self.aux)
+            ps = self.backend.predict(self.context, prefix, self.config.k, self.aux)
         except NoPrediction:
-            return None
-
-    def _predict_tree(self, prefix: Sequence[str]) -> PredictionTree:
-        return build_tree(tuple(prefix), self._predict(prefix))
+            ps = None
+        return build_tree(prefix, ps)
 
     def _context_perplexity(self) -> float | None:
         ppl = getattr(self.backend, "perplexity", None)
@@ -153,7 +152,7 @@ class Session:
             self.counters.divergences += 1
             events.append(OutputEvent("diverge", t_ms))
             events.append(OutputEvent("repredict", t_ms))
-            self.tree = self._predict_tree(self.observed)
+            self.tree = self._predict_tree()
             self._dirty = True
         else:
             self.counters.hits += 1
@@ -239,7 +238,7 @@ def catchup(session: Session) -> list[OutputEvent]:
     session.template = extend_into_hole(session.template,
                                         translate(session.table, span))
     events.extend(session._emit(t_ms))
-    session.tree = session._predict_tree(session.observed)
+    session.tree = session._predict_tree()
     session._dirty = True
     session.events.extend(events)
     return events

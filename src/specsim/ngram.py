@@ -50,13 +50,23 @@ class NgramModel:
             return ()
         return tuple(history[-(self.order - 1):])
 
-    def conditional(self, history: Sequence[str], token: str) -> float:
-        """Smoothed P(token | history); backoff applies only to unseen histories."""
-        hist = self._effective_history(history)
+    def history(self, prefix: Sequence[str]) -> tuple[str, ...]:
+        """START-padded last order-1 tokens: all that continuations(prefix) reads."""
+        n = self.order - 1
+        tail = tuple(prefix[-n:]) if n else ()  # prefix[-0:] would be all of it
+        return (START,) * (n - len(tail)) + tail
+
+    def _backoff(self, hist: tuple[str, ...]) -> tuple[tuple[str, ...], float]:
+        """Longest seen suffix of hist, and the backoff factor for reaching it."""
         factor = 1.0
         while hist and hist not in self.counts:
             hist = hist[1:]
             factor *= BACKOFF_FACTOR
+        return hist, factor
+
+    def conditional(self, history: Sequence[str], token: str) -> float:
+        """Smoothed P(token | history); backoff applies only to unseen histories."""
+        hist, factor = self._backoff(self._effective_history(history))
         total = self.totals.get(hist, 0)
         c = self.counts.get(hist, {}).get(token, 0)
         v = len(self.vocab)
@@ -68,11 +78,7 @@ class NgramModel:
         cached = self._dist_cache.get(hist)
         if cached is not None:
             return cached
-        factor = 1.0
-        h = hist
-        while h and h not in self.counts:
-            h = h[1:]
-            factor *= BACKOFF_FACTOR
+        h, factor = self._backoff(hist)
         total = self.totals.get(h, 0)
         row = self.counts.get(h, {})
         v = len(self.vocab)
@@ -103,10 +109,8 @@ class NgramModel:
             raise ValueError("k must be >= 1")
         if max_len < 1:
             raise ValueError("max_len must be >= 1")
-        pad = (START,) * max(0, self.order - 1 - len(prefix))
-        base = pad + tuple(prefix)
-        start_hist = self._effective_history(base)
-        heap: list[tuple[float, tuple[str, ...], tuple[str, ...]]] = [(-1.0, (), start_hist)]
+        heap: list[tuple[float, tuple[str, ...], tuple[str, ...]]] = [
+            (-1.0, (), self.history(prefix))]
         out: list[tuple[tuple[str, ...], float]] = []
         while heap and len(out) < k:
             neg_p, cont, hist = heapq.heappop(heap)

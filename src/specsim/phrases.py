@@ -84,12 +84,12 @@ class PhraseTable:
         return bad
 
 
-def translate(table: PhraseTable, source: Sequence[str]) -> tuple[str, ...]:
-    """Greedy longest-match-leftmost translation; unmatched tokens pass through."""
-    out: list[str] = []
-    pos = 0
-    n = len(source)
-    while pos < n:
+def _scan(table: PhraseTable, source: Sequence[str], pos: int, stop: int,
+          out: list[str]) -> int:
+    """Greedy longest-match-leftmost from pos while pos < stop, appending to
+    out; unmatched tokens pass through. A match starting before stop may run
+    past it, never past the end of source. Returns the new scan position."""
+    while pos < stop:
         key = table.match_at(source, pos)
         if key is None:
             out.append(source[pos])
@@ -97,6 +97,13 @@ def translate(table: PhraseTable, source: Sequence[str]) -> tuple[str, ...]:
         else:
             out.extend(table._entries[key])
             pos += len(key)
+    return pos
+
+
+def translate(table: PhraseTable, source: Sequence[str]) -> tuple[str, ...]:
+    """Greedy longest-match-leftmost translation; unmatched tokens pass through."""
+    out: list[str] = []
+    _scan(table, source, 0, len(source), out)
     return tuple(out)
 
 
@@ -166,19 +173,8 @@ class StreamTranslation:
 
     def extend(self, table: PhraseTable, tokens: Sequence[str]) -> "StreamTranslation":
         src = self.src + tuple(tokens)
-        pos = self.pos
         out = list(self.out)
-        horizon = len(src) - (table.max_source_len - 1)
-        while pos < horizon:
-            key = table.match_at(src, pos)
-            if key is None:
-                out.append(src[pos])
-                pos += 1
-            elif pos + len(key) <= len(src):
-                out.extend(table._entries[key])
-                pos += len(key)
-            else:  # pragma: no cover - key never exceeds remaining tokens
-                break
+        pos = _scan(table, src, self.pos, len(src) - (table.max_source_len - 1), out)
         return StreamTranslation(src, pos, tuple(out))
 
     def preview(self, table: PhraseTable, continuation: Sequence[str]) -> tuple[str, ...]:

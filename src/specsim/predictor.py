@@ -3,24 +3,27 @@
 A backend maps (context, observed source prefix, k) to a ranked set of
 full-continuation hypotheses with probabilities and target translations.
 Residual probability mass (1 - sum of reported p) models the continuations
-the backend did not enumerate. Backends are immutable after construction;
-predict calls are deterministic and safe to issue concurrently.
+the backend did not enumerate. Predict calls are deterministic. The scripted
+and remote backends are immutable after construction; NgramBackend mutates
+two caches on predict, which change its speed but never its results.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
-from .ngram import END, START, NgramModel
+from .ngram import END, NgramModel
 from .phrases import PhraseTable, StreamTranslation
 from .stream import ContextDoc
 
 _EPS = 1e-9
+_FLOAT_MAX = sys.float_info.max  # a larger int p would overflow float()
 
 
 class NoPrediction(Exception):
@@ -117,13 +120,6 @@ class ScriptedBackend:
                                f"prefix of {len(tuple(prefix))} tokens")
         return _cap(ps, k)
 
-    def validate(self) -> list[str]:
-        bad = []
-        for (cid, prefix), ps in sorted(self.entries.items()):
-            for msg in ps.validate():
-                bad.append(f"context {cid!r} prefix {' '.join(prefix) or '<empty>'}: {msg}")
-        return bad
-
 
 def _cap(ps: PredictionSet, k: int) -> PredictionSet:
     if len(ps.items) <= k:
@@ -133,26 +129,58 @@ def _cap(ps: PredictionSet, k: int) -> PredictionSet:
     return PredictionSet(kept, other)
 
 
+def _is_token_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(t, str) and t for t in value)
+
+
+def _prediction(item: object) -> Prediction:
+    """One {"cont", "p", "tr"} record: token lists of non-empty strings (cont
+    non-empty) and a finite numeric p > 0, else ValueError."""
+    if not isinstance(item, dict) or not {"cont", "p", "tr"} <= item.keys():
+        raise ValueError(f'item {item!r} needs "cont", "p" and "tr"')
+    cont, p, tr = item["cont"], item["p"], item["tr"]
+    if not (cont and _is_token_list(cont) and _is_token_list(tr)):
+        raise ValueError(f"bad tokens in item {item!r}")
+    if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 < p <= _FLOAT_MAX:
+        raise ValueError(f"bad probability in item {item!r}")
+    return Prediction(tuple(cont), float(p), tuple(tr))
+
+
 def load_scripted_fixture(text: str) -> ScriptedBackend:
     """Fixture file: {"contexts": {id: [{"prefix": [...], "items": [...]}, ...]}}.
 
     Each item is {"cont": [...tokens...], "p": float, "tr": [...tokens...]};
-    a continuation ending with "</s>" marks an utterance-end hypothesis.
+    a continuation ending with "</s>" marks an utterance-end hypothesis. Every
+    p lies in (0, 1] and each prefix's items sum to at most 1; any other shape
+    raises ValueError.
     """
-    data = json.loads(text)
-    contexts = data.get("contexts")
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("fixture JSON is nested too deeply") from None
+    contexts = data.get("contexts") if isinstance(data, dict) else None
     if not isinstance(contexts, dict):
         raise ValueError('fixture must carry a "contexts" object')
     entries: dict[tuple[str, tuple[str, ...]], PredictionSet] = {}
     for cid, recs in contexts.items():
+        if not isinstance(recs, list):
+            raise ValueError(f"context {cid!r} must hold a list of entries")
         for rec in recs:
+            if not (isinstance(rec, dict) and _is_token_list(rec.get("prefix"))
+                    and isinstance(rec.get("items", []), list)):
+                raise ValueError(f"context {cid!r}: entry {rec!r} needs a token "
+                                 f'list "prefix" and a list "items"')
             prefix = tuple(rec["prefix"])
-            items = [Prediction(tuple(it["cont"]), float(it["p"]), tuple(it["tr"]))
-                     for it in rec.get("items", [])]
+            where = f"context {cid!r}, prefix {' '.join(prefix) or '<empty>'}"
+            items = [_prediction(it) for it in rec.get("items", [])]
+            if any(pr.p > 1 for pr in items):
+                raise ValueError(f"{where}: probability above 1")
+            total = math.fsum(pr.p for pr in items)
+            if total > 1 + _EPS:
+                raise ValueError(f"{where}: probabilities sum to {total:.6f} > 1")
             key = (cid, prefix)
             if key in entries:
-                raise ValueError(f"duplicate fixture entry for context {cid!r}, "
-                                 f"prefix {' '.join(prefix) or '<empty>'}")
+                raise ValueError(f"duplicate fixture entry for {where}")
             entries[key] = prediction_set(items)
     return ScriptedBackend(entries)
 
@@ -161,9 +189,10 @@ class NgramBackend:
     """n-gram continuation search plus phrase-table translation of hypotheses.
 
     Continuation search depends only on the last order-1 prefix tokens and is
-    memoized on them; hypothesis translation reuses an incremental stream
-    translation of the prefix, so repeated predictions over a growing prefix
-    cost time proportional to the new tokens.
+    memoized on them. Hypothesis translation reuses the incremental stream
+    translation of the previous prefix when the new one extends it, so only
+    the new tokens are translated; each call still compares the whole prefix
+    against the cached one, and extending copies it.
     """
 
     def __init__(self, model: NgramModel, table: PhraseTable, max_len: int = 12):
@@ -171,14 +200,12 @@ class NgramBackend:
         self.table = table
         self.max_len = max_len
         self._enum_cache: dict[tuple, list[tuple[tuple[str, ...], float]]] = {}
-        self._tx: tuple[tuple[str, ...], StreamTranslation] = ((), StreamTranslation())
+        self._tx = StreamTranslation()
 
     def predict(self, context: ContextDoc, prefix: Sequence[str], k: int,
                 aux: Sequence[str] | None = None) -> PredictionSet:
         prefix = tuple(prefix)
-        hist = self.model._effective_history(
-            (START,) * max(0, self.model.order - 1 - len(prefix)) + prefix)
-        key = (hist, k, self.max_len)
+        key = (self.model.history(prefix), k, self.max_len)
         conts = self._enum_cache.get(key)
         if conts is None:
             conts = self.model.continuations(prefix, k, self.max_len)
@@ -191,12 +218,10 @@ class NgramBackend:
         return prediction_set(items)
 
     def _tx_state(self, prefix: tuple[str, ...]) -> StreamTranslation:
-        cached_prefix, state = self._tx
-        if len(cached_prefix) <= len(prefix) and prefix[:len(cached_prefix)] == cached_prefix:
-            state = state.extend(self.table, prefix[len(cached_prefix):])
-        else:
-            state = StreamTranslation().extend(self.table, prefix)
-        self._tx = (prefix, state)
+        state = self._tx
+        if prefix[:len(state.src)] != state.src:  # not an extension: start over
+            state = StreamTranslation()
+        self._tx = state = state.extend(self.table, prefix[len(state.src):])
         return state
 
     def perplexity(self, window: Sequence[str]) -> float:
@@ -211,10 +236,6 @@ def _http_post(url: str, payload: bytes, timeout_s: float) -> tuple[int, bytes]:
                                  headers={"Content-Type": "application/json"})
     with urllib.request.urlopen(req, timeout=timeout_s) as resp:
         return resp.status, resp.read()
-
-
-def _is_token_list(value: object) -> bool:
-    return isinstance(value, list) and all(isinstance(t, str) and t for t in value)
 
 
 class RemoteBackend:
@@ -251,14 +272,7 @@ class RemoteBackend:
     @staticmethod
     def _parse(raw: bytes) -> list[Prediction]:
         data = json.loads(raw.decode("utf-8"))
-        preds = []
-        for it in data["items"]:
-            cont, p, tr = it["cont"], it["p"], it["tr"]
-            if not (cont and _is_token_list(cont) and _is_token_list(tr)):
-                raise ValueError(f"bad tokens in item {it!r}")
-            if isinstance(p, bool) or not isinstance(p, (int, float)) or not (0 < p < math.inf):
-                raise ValueError(f"bad probability in item {it!r}")
-            preds.append(Prediction(tuple(cont), float(p), tuple(tr)))
+        preds = [_prediction(it) for it in data["items"]]
         total = math.fsum(pr.p for pr in preds)
         if total > 1.0:  # remote overshoot: rescale proportionally
             preds = [Prediction(pr.continuation, pr.p / total, pr.translation)

@@ -22,7 +22,7 @@ _TAU_SLACK = 1e-9  # mass sums land within an ulp of the threshold
 
 @dataclass(frozen=True, slots=True)
 class Hole:
-    id: int
+    """The undetermined middle of a template; a template holds at most one."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,7 +40,6 @@ class TargetTemplate:
 
     slots: tuple[object, ...]
     emit_ptr: int = 0
-    next_hole_id: int = 1
 
     def hole_index(self) -> int | None:
         for i, s in enumerate(self.slots):
@@ -67,11 +66,11 @@ class TargetTemplate:
 
 
 def all_hole_template() -> TargetTemplate:
-    return TargetTemplate((Hole(0),))
+    return TargetTemplate((Hole(),))
 
 
 def fixed_template(tokens: Sequence[str]) -> TargetTemplate:
-    return TargetTemplate(tuple(tokens), next_hole_id=0)
+    return TargetTemplate(tuple(tokens))
 
 
 def consensus(hyps: Sequence[tuple[Sequence[str], float]], tau: float) -> TargetTemplate:
@@ -102,7 +101,7 @@ def consensus(hyps: Sequence[tuple[Sequence[str], float]], tau: float) -> Target
     shortest = min(len(h) for h in cover)
     if p + s > shortest:
         s = shortest - p
-    slots = tuple(first[:p]) + (Hole(0),) + (tuple(first[len(first) - s:]) if s else ())
+    slots = tuple(first[:p]) + (Hole(),) + (tuple(first[len(first) - s:]) if s else ())
     return TargetTemplate(slots)
 
 
@@ -141,7 +140,7 @@ def refine(committed: TargetTemplate,
                                     full[got_i] if got_i >= 0 else None)
         if len(full) < len(pre_c) + len(suf_c):
             return RevisionConflict(len(pre_c), suf_c[0] if suf_c else None, None)
-        return TargetTemplate(tuple(full), committed.emit_ptr, committed.next_hole_id)
+        return TargetTemplate(tuple(full), committed.emit_ptr)
 
     m = common_prefix_len(pre_c, pre_f)
     if m < min(len(pre_c), len(pre_f)):
@@ -155,9 +154,7 @@ def refine(committed: TargetTemplate,
     new_suf = suf_f if len(suf_f) > len(suf_c) else suf_c
     if new_pre == pre_c and new_suf == suf_c:
         return committed
-    hid = committed.next_hole_id
-    slots = new_pre + (Hole(hid),) + new_suf
-    return TargetTemplate(slots, committed.emit_ptr, hid + 1)
+    return TargetTemplate(new_pre + (Hole(),) + new_suf, committed.emit_ptr)
 
 
 def _first_diff_conflict(a: tuple[str, ...], b: tuple[str, ...]) -> RevisionConflict:
@@ -195,7 +192,7 @@ def extend_into_hole(committed: TargetTemplate,
         slots = committed.slots + toks
     else:
         slots = committed.slots[:i] + toks + committed.slots[i:]
-    return TargetTemplate(slots, committed.emit_ptr, committed.next_hole_id)
+    return TargetTemplate(slots, committed.emit_ptr)
 
 
 def resolve_with(committed: TargetTemplate,
@@ -211,8 +208,7 @@ def resolve_with(committed: TargetTemplate,
         middle = final[len(pre):max(len(pre), len(final) - len(suf))]
     else:
         middle = ()
-    return TargetTemplate(pre + middle + suf, committed.emit_ptr,
-                          committed.next_hole_id)
+    return TargetTemplate(pre + middle + suf, committed.emit_ptr)
 
 
 def emittable(template: TargetTemplate,
@@ -232,5 +228,5 @@ def emittable(template: TargetTemplate,
     if end <= template.emit_ptr:
         return (), template
     toks = tuple(template.slots[template.emit_ptr:end])
-    advanced = TargetTemplate(template.slots, end, template.next_hole_id)
+    advanced = TargetTemplate(template.slots, end)
     return toks, advanced

@@ -1,10 +1,11 @@
 """Mass-conserving speculative tree of source continuations.
 
-The root anchors at the observed source prefix with mass 1. Each named child
-carries a multi-token continuation edge, a full-sentence target translation
-while it is a leaf, and its path probability; every node may own one "other"
-child absorbing residual and pruned mass. Observation consumes edge tokens
-one at a time; survivors are renormalized Bayes-style on their prior masses.
+The root anchors at the source prefix the tree was built on (the session owns
+the observed prefix) with mass 1. Each named child carries a multi-token
+continuation edge, a full-sentence target translation while it is a leaf, and
+its path probability; every node may own one "other" child absorbing residual
+and pruned mass. Observation consumes edge tokens one at a time; survivors
+are renormalized Bayes-style on their prior masses.
 
 A tree is owned by one session and mutated single-threaded.
 """
@@ -51,7 +52,6 @@ def _other(path_p: float, depth: int) -> TreeNode:
 class PredictionTree:
     def __init__(self, anchor: tuple[str, ...]):
         self.anchor = anchor
-        self.observed: list[str] = list(anchor)
         self.root = TreeNode(False, (), 1.0, None, False, 0)
 
     def walk(self) -> Iterator[TreeNode]:
@@ -69,9 +69,6 @@ class PredictionTree:
 
     def named_leaf_count(self) -> int:
         return sum(1 for n in self.leaves() if not n.is_other)
-
-    def observed_prefix(self) -> tuple[str, ...]:
-        return tuple(self.observed)
 
     def hypothesis_prefix(self, node: TreeNode) -> tuple[str, ...]:
         """Anchor plus all edge tokens on the path down to node (inclusive)."""
@@ -138,9 +135,9 @@ def _attach_predictions(node: TreeNode, ps: PredictionSet | None, scale: float,
     node.children = kids
 
 
-def build_tree(prefix: Sequence[str], ps: PredictionSet | None) -> PredictionTree:
-    """Fresh tree from a prediction set; ps=None yields the other-only tree."""
-    tree = PredictionTree(tuple(prefix))
+def build_tree(prefix: tuple[str, ...], ps: PredictionSet | None) -> PredictionTree:
+    """Fresh tree anchored at prefix (not copied); ps=None yields other-only."""
+    tree = PredictionTree(prefix)
     _attach_predictions(tree.root, ps, 1.0, 1)
     return tree
 
@@ -182,11 +179,9 @@ def advance(tree: PredictionTree, token: str) -> MatchOutcome:
     if len(kept) != len(tree.root.children):
         removed = True
     tree.root.children = kept
-    tree.observed.append(token)
 
     named = sum(1 for n in tree.leaves() if not n.is_other)
     if named == 0:
-        tree.anchor = tuple(tree.observed)
         tree.root = TreeNode(False, (), 1.0, None, False, 0)
         tree.root.children = [_other(1.0, 1)]
         return MatchOutcome(True, 0, True)

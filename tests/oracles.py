@@ -37,9 +37,9 @@ def consensus_oracle(hyps, tau) -> TargetTemplate:
         if cum >= tau - 1e-9:
             break
     else:
-        return TargetTemplate((Hole(0),))
+        return TargetTemplate((Hole(),))
     if all(h == cover[0] for h in cover):
-        return TargetTemplate(tuple(cover[0]), next_hole_id=0)
+        return TargetTemplate(tuple(cover[0]))
     shortest = min(len(h) for h in cover)
     p = 0
     while p < shortest and all(h[p] == cover[0][p] for h in cover):
@@ -51,7 +51,7 @@ def consensus_oracle(hyps, tau) -> TargetTemplate:
     if p + s > shortest:
         s = shortest - p
     first = cover[0]
-    slots = tuple(first[:p]) + (Hole(0),) + (tuple(first[len(first) - s:]) if s else ())
+    slots = tuple(first[:p]) + (Hole(),) + (tuple(first[len(first) - s:]) if s else ())
     return TargetTemplate(slots)
 
 

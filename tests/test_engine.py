@@ -14,7 +14,7 @@ from specsim.ngram import train_ngram
 from specsim.phrases import PhraseTable, translate
 from specsim.predictor import NgramBackend, NoPrediction
 from specsim.replay import events_to_jsonl, replay
-from specsim.stream import ContextDoc, EngineConfig, TokenEvent
+from specsim.stream import ContextDoc, EngineConfig, TokenEvent, transcript_from_tokens
 
 from conftest import make_scenario, random_config
 
@@ -326,3 +326,55 @@ def test_report_recomputable_from_event_log(shopping_backend, shopping_table,
     events, report = replay(shopping_transcript, s)
     again = compute_report(s.events, report.source_len, shopping_transcript.reference)
     assert again == report
+
+
+class RecordingBackend:
+    """Passes predict through, asserting that each prefix is a tuple equal to
+    the session's observed tokens at call time."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.session = None  # unset while start_session predicts from ()
+        self.calls = 0
+
+    def predict(self, context, prefix, k, aux=None):
+        observed = self.session.observed if self.session is not None else []
+        assert type(prefix) is tuple and prefix == tuple(observed)
+        self.calls += 1
+        return self.inner.predict(context, prefix, k, aux)
+
+
+def _recorded_replay(cfg, ctx, backend, table, transcript, profile):
+    recorder = RecordingBackend(backend)
+    session = start_session(cfg, ctx, recorder, table)
+    recorder.session = session
+    _, report = replay(transcript, session, profile)
+    return recorder.calls, report
+
+
+def test_predict_sees_the_observed_prefix():
+    rng = random.Random(404)
+    repredicts = catchups = 0
+    for _ in range(100):  # scripted: divergence and catch-up
+        transcript, backend, table, ctx = make_scenario(rng)
+        calls, report = _recorded_replay(
+            random_config(rng), ctx, backend, table, transcript,
+            rng.choice([(1,), (2,), (3,), (2, 1, 3)]))
+        assert calls == 1 + report.divergences + report.catchups
+        repredicts += report.divergences
+        catchups += report.catchups
+    assert repredicts > 30 and catchups > 10
+    expansions = 0
+    vocab = [f"w{i}" for i in range(5)]
+    for _ in range(60):  # n-gram with a short horizon: expansion too
+        corpus = [[rng.choice(vocab) for _ in range(rng.randint(2, 8))]
+                  for _ in range(6)]
+        model = train_ngram(corpus, rng.randint(1, 3))
+        table = PhraseTable({(w,): (w.upper(),) for w in vocab})
+        backend = NgramBackend(model, table, max_len=rng.randint(1, 3))
+        transcript = transcript_from_tokens(rng.choice(corpus))
+        calls, report = _recorded_replay(
+            EngineConfig(k=rng.randint(1, 4), d=rng.randint(1, 3)), CTX,
+            backend, table, transcript, (1,))
+        expansions += calls - 1 - report.divergences - report.catchups
+    assert expansions > 20

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from specsim.ngram import (END, EmptyCorpus, NgramModel, parse_corpus,
+from specsim.ngram import (END, START, EmptyCorpus, NgramModel, parse_corpus,
                            train_ngram)
 
 from oracles import enumerate_continuations
@@ -133,3 +133,14 @@ def test_model_json_roundtrip_is_stable():
 
 def test_parse_corpus():
     assert parse_corpus("a b\n\nc\n") == [["a", "b"], ["c"]]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_history_is_the_padded_tail(order):
+    m = train_ngram([["a", "b", "c", "d", "e"]], order)
+    for n in range(6):
+        prefix = tuple("abcde"[:n])
+        padded = (START,) * max(0, order - 1 - n) + prefix
+        want = padded[-(order - 1):] if order > 1 else ()
+        assert m.history(prefix) == want
+        assert m.history(list(prefix)) == want

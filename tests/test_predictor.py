@@ -65,8 +65,55 @@ def test_fixture_validate_lists_violations():
          "items": [{"cont": ["x"], "p": 0.9, "tr": ["t"]},
                    {"cont": ["y"], "p": 0.4, "tr": ["t"]}]},
     ]}})
-    backend = load_scripted_fixture(text)
-    assert any("sum" in msg for msg in backend.validate())
+    with pytest.raises(ValueError, match="sum"):
+        load_scripted_fixture(text)
+
+
+def _fixture_with(item=None, rec=None):
+    item = {"cont": ["x"], "p": 0.5, "tr": ["t"]} if item is None else item
+    rec = {"prefix": ["a"], "items": [item]} if rec is None else rec
+    return json.dumps({"contexts": {"c": [rec]}})
+
+
+@pytest.mark.parametrize("text", [
+    _fixture_with(rec={"prefix": "ab", "items": []}),
+    _fixture_with(rec={"prefix": ["a", ""], "items": []}),
+    _fixture_with(rec={"prefix": ["a"], "items": {"cont": ["x"]}}),
+    _fixture_with(rec=["a"]),
+    json.dumps({"contexts": {"c": {"prefix": []}}}),
+    json.dumps([1]),
+    _fixture_with({"cont": "xyz", "p": 0.5, "tr": ["t"]}),
+    _fixture_with({"cont": ["x"], "p": 0.5, "tr": "uv"}),
+    _fixture_with({"cont": [], "p": 0.5, "tr": ["t"]}),
+    _fixture_with({"cont": ["x", ""], "p": 0.5, "tr": ["t"]}),
+    _fixture_with({"cont": ["x"], "p": 0.5, "tr": [3]}),
+    _fixture_with({"cont": ["x"], "p": 0.5}),
+    _fixture_with(["x", 0.5, "t"]),
+    _fixture_with({"cont": ["x"], "p": float("nan"), "tr": ["t"]}),
+    _fixture_with({"cont": ["x"], "p": float("inf"), "tr": ["t"]}),
+    _fixture_with({"cont": ["x"], "p": 1.7, "tr": ["t"]}),
+    _fixture_with({"cont": ["x"], "p": 1 + 1e-10, "tr": ["t"]}),
+    _fixture_with({"cont": ["x"], "p": 10 ** 400, "tr": ["t"]}),
+    _fixture_with({"cont": ["x"], "p": 0, "tr": ["t"]}),
+    _fixture_with({"cont": ["x"], "p": -0.2, "tr": ["t"]}),
+    _fixture_with({"cont": ["x"], "p": True, "tr": ["t"]}),
+    _fixture_with({"cont": ["x"], "p": "0.5", "tr": ["t"]}),
+    "[" * 100_000 + "]" * 100_000,
+], ids=["prefix-string", "prefix-blank-token", "items-object", "entry-list",
+        "entries-object", "top-level-list", "cont-string", "tr-string",
+        "cont-empty", "cont-blank-token", "tr-non-string", "tr-missing",
+        "item-list", "p-nan", "p-inf", "p-above-1", "p-just-above-1",
+        "p-huge-int", "p-zero", "p-negative", "p-bool", "p-string",
+        "nested-too-deeply"])
+def test_fixture_rejects_bad_shape(text):
+    with pytest.raises(ValueError):
+        load_scripted_fixture(text)
+
+
+def test_fixture_accepts_edge_values():
+    backend = load_scripted_fixture(_fixture_with({"cont": ["x"], "p": 1, "tr": []}))
+    ps = backend.predict(ContextDoc("c"), ("a",), 4)
+    assert ps.items == (Prediction(("x",), 1.0, ()),) and ps.other_mass == 0.0
 
 
 def test_fixture_rejects_duplicates_and_bad_shape():

@@ -31,13 +31,13 @@ def test_consensus_single_certain_hypothesis_no_hole():
 
 def test_consensus_disjoint_hypotheses_single_hole():
     t = consensus([(("x", "y"), 0.5), (("p", "q", "r"), 0.45)], tau=0.9)
-    assert t.slots == (Hole(0),)
+    assert t.slots == (Hole(),)
     assert t.render() == "[*]"
 
 
 def test_consensus_below_tau_commits_nothing():
     t = consensus(SHOPPING_HYPS, tau=0.95)
-    assert t.slots == (Hole(0),)
+    assert t.slots == (Hole(),)
 
 
 def test_single_hypothesis_emits_entire_translation():
@@ -50,7 +50,7 @@ def test_single_hypothesis_emits_entire_translation():
 def test_consensus_prefix_wins_on_overlap():
     # lcp = (a b a), lcs = (a b a), shortest member length 3
     t = consensus([(("a", "b", "a", "b", "a"), 0.5), (("a", "b", "a"), 0.4)], tau=0.9)
-    assert t.slots == ("a", "b", "a", Hole(0))
+    assert t.slots == ("a", "b", "a", Hole())
 
 
 def test_consensus_identical_members_commit_fully():
@@ -121,14 +121,14 @@ def test_refine_conflict_on_suffix():
 
 
 def test_refine_grows_prefix_and_suffix():
-    committed = TargetTemplate(("a", Hole(0), "z"))
-    fresh = TargetTemplate(("a", "b", Hole(0), "y", "z"))
+    committed = TargetTemplate(("a", Hole(), "z"))
+    fresh = TargetTemplate(("a", "b", Hole(), "y", "z"))
     merged = refine(committed, fresh)
-    assert merged.slots == ("a", "b", Hole(1), "y", "z")
+    assert merged.slots == ("a", "b", Hole(), "y", "z")
 
 
 def test_refine_never_shrinks():
-    committed = TargetTemplate(("a", "b", Hole(0), "z"))
+    committed = TargetTemplate(("a", "b", Hole(), "z"))
     fresh = all_hole_template()
     merged = refine(committed, fresh)
     assert merged is committed
@@ -156,21 +156,21 @@ def test_refine_random_monotonicity():
 def _partial(sentence, p, s):
     if p + s >= len(sentence):
         return fixed_template(sentence)
-    return TargetTemplate(sentence[:p] + (Hole(0),) + (sentence[len(sentence) - s:]
+    return TargetTemplate(sentence[:p] + (Hole(),) + (sentence[len(sentence) - s:]
                                                        if s else ()))
 
 
 def test_extend_into_hole():
-    committed = TargetTemplate(("a", Hole(0), "z"))
+    committed = TargetTemplate(("a", Hole(), "z"))
     out = extend_into_hole(committed, ("m", "n"))
-    assert out.slots == ("a", "m", "n", Hole(0), "z")
+    assert out.slots == ("a", "m", "n", Hole(), "z")
     done = extend_into_hole(fixed_template(("a",)), ("b",))
     assert done.slots == ("a", "b")
     assert extend_into_hole(committed, ()) is committed
 
 
 def test_resolve_with_alignment_and_fallback():
-    committed = TargetTemplate(("a", Hole(0), "z"), emit_ptr=1)
+    committed = TargetTemplate(("a", Hole(), "z"), emit_ptr=1)
     assert resolve_with(committed, ("a", "m", "z")).slots == ("a", "m", "z")
     # prefix disagrees: hole drops, committed tokens stay
     assert resolve_with(committed, ("q", "m", "z")).slots == ("a", "z")
@@ -192,7 +192,7 @@ def test_emittable_leading_hole_emits_nothing():
 
 def test_emittable_stops_before_idiom_span():
     # fixed run would end at rendering position 3, strictly inside span (2, 5)
-    template = TargetTemplate(("t0", "t1", "t2", Hole(0), "t4", "t5"))
+    template = TargetTemplate(("t0", "t1", "t2", Hole(), "t4", "t5"))
     toks, advanced = emittable(template, [IdiomSpan(2, 5)])
     assert toks == ("t0", "t1")
     assert advanced.emit_ptr == 2
@@ -204,11 +204,11 @@ def test_emittable_stops_before_idiom_span():
 
 
 def test_emittable_span_ending_at_boundary_is_fine():
-    template = TargetTemplate(("t0", "t1", "t2", Hole(0)))
+    template = TargetTemplate(("t0", "t1", "t2", Hole()))
     toks, _ = emittable(template, [IdiomSpan(1, 3)])
     assert toks == ("t0", "t1", "t2")
 
 
 def test_render_debug_format():
-    t = TargetTemplate(("Yesterday", ",", "I", Hole(0), "with", "my", "friend"))
+    t = TargetTemplate(("Yesterday", ",", "I", Hole(), "with", "my", "friend"))
     assert t.render() == "Yesterday , I [*] with my friend"
