@@ -71,7 +71,7 @@ def _build_backend(args, table) -> tuple[object, ContextDoc]:
             raise CliError("--model is required for the ngram backend")
         try:
             model = NgramModel.from_json(_read(args.model, "model"))
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise CliError(f"bad model {args.model!r}: {exc}") from exc
         backend = NgramBackend(model, table, max_len=args.max_len)
         return backend, _load_context(args.context, "corpus")

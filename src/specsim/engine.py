@@ -7,8 +7,12 @@ catch-up translation, and a periodic perplexity check flags context drift.
 Emission is append-only: committed output is never retracted.
 
 One session is one logical execution stream and the one owner of its
-observed prefix. Distinct sessions may share a backend: NgramBackend's caches
-change its speed, never its predictions.
+observed prefix: an append-only list that is also the source of the
+session's StreamTranslation. Backends and trees get O(1) PrefixView
+snapshots of it, never copies. The stream is scanned lazily: a hit tick only
+appends, NgramBackend scans the stream inside its predict, and finalize reads
+it with `finish`. Distinct sessions may share a backend: it keeps no
+per-session state, and its memo changes its speed, never its predictions.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .metrics import SessionReport, compute_report
-from .phrases import PhraseTable, idiom_spans, translate
+from .phrases import (PhraseTable, PrefixView, StreamTranslation, idiom_spans,
+                      translate)
 from .predictor import Backend, NoPrediction
 from .stream import ContextDoc, EngineConfig, TokenEvent, validate_config
 from .template import (RevisionConflict, TargetTemplate, all_hole_template,
@@ -81,6 +86,7 @@ class Session:
         self.backend = backend
         self.table = table
         self.observed: list[str] = []
+        self.stream = StreamTranslation(self.observed)
         self.delivered = 0
         self.processed = 0
         self.buffer: deque[TokenEvent] = deque()
@@ -97,8 +103,11 @@ class Session:
 
     # -- predictor plumbing ------------------------------------------------
 
+    def _view(self) -> PrefixView:
+        return PrefixView(self.stream, self.table)
+
     def _predict_tree(self) -> PredictionTree:
-        prefix = tuple(self.observed)  # the one copy: backend query and tree anchor
+        prefix = self._view()  # backend query and tree anchor
         try:
             ps = self.backend.predict(self.context, prefix, self.config.k, self.aux)
         except NoPrediction:
@@ -158,10 +167,13 @@ class Session:
             self.counters.hits += 1
             if outcome.changed:
                 self._dirty = True
-            for leaf in expandable_leaves(self.tree, self.config.d):
-                if expand(self.tree, leaf, self.backend, self.context,
-                          self.config.k, self.aux, max_depth=self.config.d):
-                    self._dirty = True
+            leaves = expandable_leaves(self.tree, self.config.d)
+            if leaves:
+                prefix = self._view()  # what every expandable leaf has consumed
+                for leaf in leaves:
+                    if expand(self.tree, leaf, self.backend, self.context, prefix,
+                              self.config.k, self.aux, max_depth=self.config.d):
+                        self._dirty = True
             if prune(self.tree, self.config.epsilon, self.config.k):
                 self._dirty = True
 
@@ -271,7 +283,7 @@ def finalize(session: Session, ev: TokenEvent | None = None,
     t_ms = session.last_t
     final_tr = _consistent_translation(session)
     if final_tr is None:
-        final_tr = translate(session.table, session.observed)
+        final_tr = session.stream.finish(session.table)
     merged = refine(session.template, fixed_template(final_tr))
     if isinstance(merged, RevisionConflict):
         session.counters.conflicts += 1

@@ -3,8 +3,9 @@
 Desk-scale continuation predictor: additive-alpha smoothing over the full
 vocabulary at the highest available order, dropping an order (scored with a
 0.4 stupid-backoff factor) only when the queried history itself was never
-seen. Models are immutable after training; all queries are read-only and
-deterministic.
+seen. Counts and parameters are fixed after training; queries are
+deterministic and change no result, but `distribution` fills a per-history
+memo (`_dist_cache`) as it is queried.
 """
 
 from __future__ import annotations
@@ -135,10 +136,34 @@ class NgramModel:
 
     @classmethod
     def from_json(cls, text: str) -> "NgramModel":
-        data = json.loads(text)
-        counts = {tuple(h.split(" ")) if h else (): dict(d)
-                  for h, d in data["counts"].items()}
-        return cls(data["order"], data["alpha"], data["vocab"], counts)
+        """Inverse of to_json; any other shape raises ValueError."""
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("model JSON is nested too deeply") from None
+        fields = ("order", "alpha", "vocab", "counts")
+        if not isinstance(data, dict) or not set(fields) <= data.keys():
+            raise ValueError('model must be an object with "order", "alpha", '
+                             '"vocab" and "counts"')
+        order, alpha, vocab, raw = (data[f] for f in fields)
+        if isinstance(order, bool) or not isinstance(order, int) or order < 1:
+            raise ValueError(f"order must be an integer >= 1, not {order!r}")
+        if (isinstance(alpha, bool) or not isinstance(alpha, (int, float))
+                or not math.isfinite(alpha) or alpha <= 0):
+            raise ValueError(f"alpha must be a finite number > 0, not {alpha!r}")
+        if not isinstance(vocab, list) or not all(isinstance(t, str) and t for t in vocab):
+            raise ValueError("vocab must be a list of non-empty strings")
+        if not isinstance(raw, dict):
+            raise ValueError("counts must be an object")
+        counts: dict[tuple[str, ...], dict[str, int]] = {}
+        for h, row in raw.items():
+            if not (isinstance(row, dict) and all(
+                    isinstance(t, str) and type(c) is int and c >= 0
+                    for t, c in row.items())):
+                raise ValueError(f"counts for history {h!r} must map tokens to "
+                                 f"integers >= 0")
+            counts[tuple(h.split(" ")) if h else ()] = dict(row)
+        return cls(order, alpha, vocab, counts)
 
 
 def train_ngram(corpus: Sequence[Sequence[str]], order: int,

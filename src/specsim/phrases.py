@@ -7,8 +7,10 @@ concurrent reads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,31 +158,82 @@ def parse_phrase_table(text: str) -> PhraseTable:
     return table
 
 
-@dataclass(frozen=True, slots=True)
 class StreamTranslation:
-    """Incremental greedy translation state over a growing source stream.
+    """Incremental greedy translation of an append-only source list, in place.
 
-    `out` is the committed target prefix: it only ever grows, because a match
-    is committed only once no longer table entry could still start at or
+    `src` is the source list itself, not a copy: its owner (a session's
+    observed prefix) may append to it directly and leave the scan behind;
+    `extend` both appends and scans up to date. `pos` and `out` only grow:
+    `out` is the committed target prefix of src[:pos], and a match is
+    committed only once no longer table entry could still start at or
     before the scan position (the pending window keeps the last
-    max_source_len - 1 tokens open). `preview` translates pending + a
-    hypothetical continuation without committing.
+    max_source_len - 1 tokens open), so later tokens never change it.
+    `preview` translates the pending tokens plus a hypothetical continuation
+    without committing; it reuses one tuple of `out`, rebuilt only after
+    `out` has grown. Every call must pass the same table.
     """
 
-    src: tuple[str, ...] = ()
-    pos: int = 0
-    out: tuple[str, ...] = ()
+    __slots__ = ("src", "pos", "out", "_out_tuple")
 
-    def extend(self, table: PhraseTable, tokens: Sequence[str]) -> "StreamTranslation":
-        src = self.src + tuple(tokens)
-        out = list(self.out)
-        pos = _scan(table, src, self.pos, len(src) - (table.max_source_len - 1), out)
-        return StreamTranslation(src, pos, tuple(out))
+    def __init__(self, src: list[str] | None = None):
+        self.src: list[str] = [] if src is None else src
+        self.pos = 0
+        self.out: list[str] = []
+        self._out_tuple: tuple[str, ...] = ()
+
+    def extend(self, table: PhraseTable, tokens: Sequence[str]) -> None:
+        """Append tokens and commit every match that can no longer change:
+        O(len(tokens) + unscanned tokens + max_source_len)."""
+        src = self.src
+        src.extend(tokens)
+        self.pos = _scan(table, src, self.pos, len(src) - (table.max_source_len - 1),
+                         self.out)
 
     def preview(self, table: PhraseTable, continuation: Sequence[str]) -> tuple[str, ...]:
         """Translation of the full stream plus continuation; does not commit."""
-        tail = translate(table, tuple(self.src[self.pos:]) + tuple(continuation))
-        return self.out + tail
+        if len(self._out_tuple) != len(self.out):
+            self._out_tuple = tuple(self.out)
+        return self._out_tuple + translate(table, self.src[self.pos:] + list(continuation))
 
     def finish(self, table: PhraseTable) -> tuple[str, ...]:
         return self.preview(table, ())
+
+
+class PrefixView(Sequence[str]):
+    """Read-only snapshot of the first n tokens of a stream's source.
+
+    O(1) to take, because the source is append-only; indexing and slicing
+    cost O(slice). `table` is the phrase table the stream is translated
+    with: a consumer holding that same table may read a current view's
+    stream (`is_current`) instead of translating the prefix itself.
+    """
+
+    __slots__ = ("stream", "table", "_n")
+
+    def __init__(self, stream: StreamTranslation, table: PhraseTable):
+        self.stream = stream
+        self.table = table
+        self._n = len(stream.src)
+
+    def is_current(self) -> bool:
+        """Whether nothing has been appended to the stream since the snapshot."""
+        return self._n == len(self.stream.src)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(self._n)
+            if step == 1:
+                return tuple(self.stream.src[start:stop])
+            return tuple(self.stream.src[i] for i in range(start, stop, step))
+        i = operator.index(index)
+        if i < 0:
+            i += self._n
+        if not 0 <= i < self._n:
+            raise IndexError("prefix index out of range")
+        return self.stream.src[i]
+
+    def __iter__(self) -> Iterator[str]:
+        return islice(self.stream.src, self._n)

@@ -4,8 +4,10 @@ A backend maps (context, observed source prefix, k) to a ranked set of
 full-continuation hypotheses with probabilities and target translations.
 Residual probability mass (1 - sum of reported p) models the continuations
 the backend did not enumerate. Predict calls are deterministic. The scripted
-and remote backends are immutable after construction; NgramBackend mutates
-two caches on predict, which change its speed but never its results.
+and remote backends are immutable after construction. NgramBackend keeps no
+per-stream state, only a continuation memo that changes its speed but never
+its results, so one instance serves any number of sessions; it translates
+from the stream of a session's current PrefixView when it can.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 from .ngram import END, NgramModel
-from .phrases import PhraseTable, StreamTranslation
+from .phrases import PhraseTable, PrefixView, StreamTranslation
 from .stream import ContextDoc
 
 _EPS = 1e-9
@@ -189,10 +191,11 @@ class NgramBackend:
     """n-gram continuation search plus phrase-table translation of hypotheses.
 
     Continuation search depends only on the last order-1 prefix tokens and is
-    memoized on them. Hypothesis translation reuses the incremental stream
-    translation of the previous prefix when the new one extends it, so only
-    the new tokens are translated; each call still compares the whole prefix
-    against the cached one, and extending copies it.
+    memoized on them; the memo is all the state the backend keeps. Hypothesis
+    translation reads the caller's stream when the prefix is a current
+    PrefixView over this backend's own table (a session's re-prediction), so
+    a predict costs O(new tokens + k * |translation|); any other prefix is
+    translated from scratch in O(len(prefix) + k * |translation|).
     """
 
     def __init__(self, model: NgramModel, table: PhraseTable, max_len: int = 12):
@@ -200,29 +203,26 @@ class NgramBackend:
         self.table = table
         self.max_len = max_len
         self._enum_cache: dict[tuple, list[tuple[tuple[str, ...], float]]] = {}
-        self._tx = StreamTranslation()
 
     def predict(self, context: ContextDoc, prefix: Sequence[str], k: int,
                 aux: Sequence[str] | None = None) -> PredictionSet:
-        prefix = tuple(prefix)
         key = (self.model.history(prefix), k, self.max_len)
         conts = self._enum_cache.get(key)
         if conts is None:
             conts = self.model.continuations(prefix, k, self.max_len)
             self._enum_cache[key] = conts
-        state = self._tx_state(prefix)
+        if (isinstance(prefix, PrefixView) and prefix.table is self.table
+                and prefix.is_current()):
+            stream = prefix.stream
+            stream.extend(self.table, ())  # scan what was appended since
+        else:
+            stream = StreamTranslation()
+            stream.extend(self.table, prefix)
         items = [Prediction(cont, p,
-                            state.preview(self.table,
-                                          cont[:-1] if cont and cont[-1] == END else cont))
+                            stream.preview(self.table,
+                                           cont[:-1] if cont and cont[-1] == END else cont))
                  for cont, p in conts]
         return prediction_set(items)
-
-    def _tx_state(self, prefix: tuple[str, ...]) -> StreamTranslation:
-        state = self._tx
-        if prefix[:len(state.src)] != state.src:  # not an extension: start over
-            state = StreamTranslation()
-        self._tx = state = state.extend(self.table, prefix[len(state.src):])
-        return state
 
     def perplexity(self, window: Sequence[str]) -> float:
         return self.model.perplexity(window)

@@ -123,6 +123,15 @@ def _require(cond: bool, exc: TranscriptError):
         raise exc
 
 
+def _record(raw: str, lineno: int, invalid: str):
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        raise MalformedRecord(invalid, lineno) from None
+    except RecursionError:
+        raise MalformedRecord("JSON is nested too deeply", lineno) from None
+
+
 def parse_transcript(text: str) -> Transcript:
     """Parse the line-delimited JSON transcript format.
 
@@ -133,10 +142,7 @@ def parse_transcript(text: str) -> Transcript:
     lines = [ln for ln in text.splitlines()]
     if not lines or not lines[0].strip():
         raise MalformedRecord("missing header line", 1)
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError:
-        raise MalformedRecord("header is not valid JSON", 1) from None
+    header = _record(lines[0], 1, "header is not valid JSON")
     if not isinstance(header, dict) or "src" not in header or "tgt" not in header:
         raise MalformedRecord("header must carry src and tgt", 1)
     src, tgt = header["src"], header["tgt"]
@@ -153,10 +159,7 @@ def parse_transcript(text: str) -> Transcript:
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
-        try:
-            rec = json.loads(raw)
-        except json.JSONDecodeError:
-            raise MalformedRecord("not valid JSON", lineno) from None
+        rec = _record(raw, lineno, "not valid JSON")
         if not isinstance(rec, dict):
             raise MalformedRecord("record must be a JSON object", lineno)
         _require(final_seen is False, MalformedRecord("event after final marker", lineno))

@@ -1,10 +1,13 @@
 """Mass-conserving speculative tree of source continuations.
 
-The root anchors at the source prefix the tree was built on (the session owns
-the observed prefix) with mass 1. Each named child carries a multi-token
-continuation edge, a full-sentence target translation while it is a leaf, and
-its path probability; every node may own one "other" child absorbing residual
-and pruned mass. Observation consumes edge tokens one at a time; survivors
+The root anchors at the source prefix the tree was built on, with mass 1;
+`anchor` is that prefix as given (for the session, an O(1) view of its
+observed tokens at build time), never copied. The tree does not track the
+tokens observed since, so `expand` takes a hypothesis's source prefix from
+its caller. Each named child carries a multi-token continuation edge, a
+full-sentence target translation while it is a leaf, and its path
+probability; every node may own one "other" child absorbing residual and
+pruned mass. Observation consumes edge tokens one at a time; survivors
 are renormalized Bayes-style on their prior masses.
 
 A tree is owned by one session and mutated single-threaded.
@@ -50,7 +53,7 @@ def _other(path_p: float, depth: int) -> TreeNode:
 
 
 class PredictionTree:
-    def __init__(self, anchor: tuple[str, ...]):
+    def __init__(self, anchor: Sequence[str]):
         self.anchor = anchor
         self.root = TreeNode(False, (), 1.0, None, False, 0)
 
@@ -69,28 +72,6 @@ class PredictionTree:
 
     def named_leaf_count(self) -> int:
         return sum(1 for n in self.leaves() if not n.is_other)
-
-    def hypothesis_prefix(self, node: TreeNode) -> tuple[str, ...]:
-        """Anchor plus all edge tokens on the path down to node (inclusive)."""
-        path = self._path_to(node)
-        out = list(self.anchor)
-        for n in path:
-            out.extend(n.edge)
-        return tuple(out)
-
-    def _path_to(self, target: TreeNode) -> list[TreeNode]:
-        def search(node: TreeNode, trail: list[TreeNode]) -> list[TreeNode] | None:
-            if node is target:
-                return trail
-            for c in node.children:
-                hit = search(c, trail + [c])
-                if hit is not None:
-                    return hit
-            return None
-        found = search(self.root, [])
-        if found is None:
-            raise ValueError("node does not belong to this tree")
-        return found
 
     def dump(self) -> str:
         """Deterministic indented rendering used by golden tests."""
@@ -135,7 +116,7 @@ def _attach_predictions(node: TreeNode, ps: PredictionSet | None, scale: float,
     node.children = kids
 
 
-def build_tree(prefix: tuple[str, ...], ps: PredictionSet | None) -> PredictionTree:
+def build_tree(prefix: Sequence[str], ps: PredictionSet | None) -> PredictionTree:
     """Fresh tree anchored at prefix (not copied); ps=None yields other-only."""
     tree = PredictionTree(prefix)
     _attach_predictions(tree.root, ps, 1.0, 1)
@@ -197,19 +178,22 @@ def advance(tree: PredictionTree, token: str) -> MatchOutcome:
 
 
 def expand(tree: PredictionTree, node: TreeNode, backend: Backend,
-           context: ContextDoc, k: int, aux: Sequence[str] | None = None,
-           max_depth: int | None = None) -> bool:
+           context: ContextDoc, prefix: Sequence[str], k: int,
+           aux: Sequence[str] | None = None, max_depth: int | None = None) -> bool:
     """Grow children under a fully consumed named leaf via the backend.
 
-    No-op at the depth cap (node.depth is the expansion round that created
-    it). NoPrediction degrades to an other-only expansion carrying the full
-    node mass. Returns whether the tree changed.
+    prefix is the source the node's hypothesis has consumed, which the
+    caller knows: a leaf that survived every advance since the tree was
+    built has consumed exactly the tokens observed since the anchor, so for
+    the session it is its whole observed prefix. No-op at the depth cap
+    (node.depth is the expansion round that created it). NoPrediction
+    degrades to an other-only expansion carrying the full node mass.
+    Returns whether the tree changed.
     """
     if node.is_other or node.children or not node.consumed or node.terminal:
         return False
     if max_depth is not None and node.depth >= max_depth:
         return False
-    prefix = tree.hypothesis_prefix(node)
     try:
         ps = backend.predict(context, prefix, k, aux)
     except NoPrediction:

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from specsim.cli import main
 from specsim.ngram import NgramModel
 
@@ -154,6 +156,31 @@ def test_run_remote_backend_against_local_server(tmp_path):
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("[" * 100000, id="nested-too-deeply"),
+    pytest.param("{}", id="no-fields"),
+    pytest.param("[]", id="not-an-object"),
+    pytest.param('{"order": 2, "alpha": 0.1, "vocab": [], "counts": {"a": 5}}',
+                 id="count-row-not-an-object"),
+])
+def test_run_rejects_bad_model(tmp_path, capsys, text):
+    model = tmp_path / "model.json"
+    model.write_text(text)
+    argv = run_args(tmp_path, **{"--backend": "ngram", "--fixtures": None,
+                                 "--model": str(model)})
+    assert run_cli(*argv) == 2
+    assert "bad model" in capsys.readouterr().err
+
+
+def test_run_and_validate_reject_deeply_nested_transcript(tmp_path, capsys):
+    bad = tmp_path / "deep.jsonl"
+    bad.write_text('{"src":"a","tgt":"b"}\n' + "[" * 100000 + "\n")
+    assert run_cli(*run_args(tmp_path, **{"--transcript": str(bad)})) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+    assert run_cli("validate", "--transcript", str(bad)) == 2
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 def test_train_hand_counts_and_idempotence(tmp_path, capsys):

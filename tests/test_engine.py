@@ -4,6 +4,7 @@ drift checks, monotone emission, determinism."""
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 
 import pytest
 
@@ -329,8 +330,8 @@ def test_report_recomputable_from_event_log(shopping_backend, shopping_table,
 
 
 class RecordingBackend:
-    """Passes predict through, asserting that each prefix is a tuple equal to
-    the session's observed tokens at call time."""
+    """Passes predict through, asserting that each prefix is a Sequence equal
+    to the session's observed tokens at call time."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -339,7 +340,7 @@ class RecordingBackend:
 
     def predict(self, context, prefix, k, aux=None):
         observed = self.session.observed if self.session is not None else []
-        assert type(prefix) is tuple and prefix == tuple(observed)
+        assert isinstance(prefix, Sequence) and list(prefix) == observed
         self.calls += 1
         return self.inner.predict(context, prefix, k, aux)
 
@@ -378,3 +379,91 @@ def test_predict_sees_the_observed_prefix():
             backend, table, transcript, (1,))
         expansions += calls - 1 - report.divergences - report.catchups
     assert expansions > 20
+
+
+class CountingNgramBackend(NgramBackend):
+    calls = 0
+
+    def predict(self, context, prefix, k, aux=None):
+        self.calls += 1
+        return super().predict(context, prefix, k, aux)
+
+
+def _ticks(transcript, session, profile, log):
+    """replay(), one tick per iteration, appending its events to log."""
+    queue = iter(transcript.events)
+    tick = 0
+    while True:
+        for _ in range(profile[tick] if tick < len(profile) else 1):
+            ev = next(queue)
+            if ev.is_final:
+                log.extend(finalize(session, ev, transcript.reference)[0])
+                return
+            log.extend(deliver(session, ev))
+        log.extend(step(session))
+        tick += 1
+        yield True
+
+
+def test_sessions_sharing_an_ngram_backend_match_solo_runs():
+    rng = random.Random(91)
+    vocab = [f"w{i}" for i in range(5)]
+    repredicts = catchups = expansions = 0
+    for _ in range(25):
+        corpus = [[rng.choice(vocab) for _ in range(rng.randint(2, 8))]
+                  for _ in range(6)]
+        model = train_ngram(corpus, rng.randint(1, 3))
+        table = PhraseTable({(w,): (w.upper(),) for w in vocab})
+        table.add(("w0", "w1"), ("W01",))
+        table.add(("w2", "w3", "w4"), ("W234",))
+        max_len = rng.randint(1, 3)
+        shared = CountingNgramBackend(model, table, max_len=max_len)
+        runs = []
+        for _ in range(rng.randint(2, 4)):
+            tokens = rng.choice(corpus) + rng.choice(corpus)
+            if rng.random() < 0.5:
+                tokens[rng.randrange(len(tokens))] = rng.choice(vocab)
+            reference = translate(table, tokens)
+            runs.append((transcript_from_tokens(tokens, reference=reference),
+                         EngineConfig(k=rng.randint(1, 4), d=rng.randint(1, 3),
+                                      buffer_limit=rng.randint(1, 3)),
+                         # an equal table that is another object: no shared stream
+                         table if rng.random() < 0.75 else PhraseTable(table.entries()),
+                         rng.choice([(1,), (2,), (3,), (2, 1, 3)])))
+        logs = [[] for _ in runs]
+        sessions = [start_session(cfg, CTX, shared, tbl) for _, cfg, tbl, _ in runs]
+        turns = [_ticks(tr, s, prof, log)
+                 for (tr, _, _, prof), s, log in zip(runs, sessions, logs)]
+        while turns:  # round-robin, one tick per session per turn
+            turns = [t for t in turns if next(t, False)]
+        for (tr, cfg, tbl, prof), log, s in zip(runs, logs, sessions):
+            alone = NgramBackend(model, table, max_len=max_len)
+            want, report = replay(tr, start_session(cfg, CTX, alone, tbl), prof)
+            assert events_to_jsonl(log) == events_to_jsonl(want)
+            assert log == s.events
+            repredicts += report.divergences
+            catchups += report.catchups
+        recoveries = sum(s.counters.divergences + s.counters.catchups for s in sessions)
+        expansions += shared.calls - len(runs) - recoveries
+    assert repredicts > 20 and catchups > 10 and expansions > 20
+
+
+def test_prefix_view_keeps_its_build_time_tokens():
+    table = PhraseTable({("a", "b"): ("AB",)})
+    model = train_ngram([["a", "b", "c"]], 2)
+    s = session_for(NgramBackend(model, table, max_len=2), table, buffer_limit=8)
+    for i, tok in enumerate(["x", "y", "z"]):  # unpredicted: each re-predicts
+        feed(s, TokenEvent(i, tok, i * 100))
+    view = s.tree.anchor
+    assert len(view) == 3 and view.is_current()
+    for i, tok in enumerate(["a", "b", "c", "d"], start=3):
+        feed(s, TokenEvent(i, tok, i * 100))
+    assert s.observed == ["x", "y", "z", "a", "b", "c", "d"]
+    assert not view.is_current()
+    assert tuple(view) == ("x", "y", "z") and list(view) == ["x", "y", "z"]
+    assert (view[0], view[-1], view[1:], view[::-1], view[-5:]) == (
+        "x", "z", ("y", "z"), ("z", "y", "x"), ("x", "y", "z"))
+    with pytest.raises(IndexError):
+        view[3]
+    with pytest.raises(IndexError):
+        view[-4]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -129,6 +130,41 @@ def test_model_json_roundtrip_is_stable():
     again = NgramModel.from_json(text)
     assert again == m
     assert again.to_json() == text
+
+
+def _model_json(**fields):
+    data = {"order": 2, "alpha": 0.1, "vocab": ["a"], "counts": {"": {"a": 1}}}
+    data.update(fields)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("[" * 100000, id="nested-too-deeply"),
+    pytest.param("{}", id="no-fields"),
+    pytest.param("[]", id="list"),
+    pytest.param('"model"', id="string"),
+    pytest.param(_model_json(order=True), id="order-bool"),
+    pytest.param(_model_json(order=0), id="order-zero"),
+    pytest.param(_model_json(order=2.0), id="order-float"),
+    pytest.param(_model_json(alpha=0), id="alpha-zero"),
+    pytest.param(_model_json(alpha=-1.0), id="alpha-negative"),
+    pytest.param(_model_json(alpha=float("inf")), id="alpha-infinite"),
+    pytest.param(_model_json(alpha=float("nan")), id="alpha-nan"),
+    pytest.param(_model_json(alpha=False), id="alpha-bool"),
+    pytest.param(_model_json(alpha="0.1"), id="alpha-string"),
+    pytest.param(_model_json(vocab="a"), id="vocab-string"),
+    pytest.param(_model_json(vocab=["a", ""]), id="vocab-empty-token"),
+    pytest.param(_model_json(vocab=["a", 1]), id="vocab-number"),
+    pytest.param(_model_json(counts=[]), id="counts-list"),
+    pytest.param(_model_json(counts={"a": 5}), id="count-row-number"),
+    pytest.param(_model_json(counts={"a": {"b": -1}}), id="count-negative"),
+    pytest.param(_model_json(counts={"a": {"b": 1.5}}), id="count-float"),
+    pytest.param(_model_json(counts={"a": {"b": True}}), id="count-bool"),
+    pytest.param(_model_json(counts={"a": {"b": None}}), id="count-null"),
+])
+def test_model_json_rejects_bad_shapes(text):
+    with pytest.raises(ValueError):
+        NgramModel.from_json(text)
 
 
 def test_parse_corpus():

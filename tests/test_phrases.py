@@ -108,12 +108,17 @@ def test_stream_translation_matches_one_shot():
             entries[src] = tgt
             t.add(src, tgt)
         stream = [rng.choice(vocab) for _ in range(rng.randint(0, 25))]
-        state = StreamTranslation()
+        src: list[str] = []
+        state = StreamTranslation(src)
         i = 0
         while i < len(stream):
             step = rng.randint(1, 4)
-            state = state.extend(t, stream[i:i + step])
+            if rng.random() < 0.5:
+                state.extend(t, stream[i:i + step])
+            else:  # the owner appends and leaves the scan behind
+                src.extend(stream[i:i + step])
             i += step
+            assert state.src is src and src == stream[:i]
             cont = [rng.choice(vocab) for _ in range(rng.randint(0, 5))]
             assert state.preview(t, cont) == translate(t, stream[:i] + cont)
         assert state.finish(t) == translate(t, stream)
@@ -124,6 +129,8 @@ def test_stream_translation_output_only_grows():
     state = StreamTranslation()
     seen = []
     for tok in ["a", "b", "a", "b", "b"]:
-        state = state.extend(t, [tok])
-        assert state.out[:len(seen)] == tuple(seen)
-        seen = list(state.out)
+        out = state.out
+        state.extend(t, [tok])
+        assert state.out is out and out[:len(seen)] == seen
+        seen = list(out)
+    assert seen == ["AB", "AB"]  # the last "b" stays pending

@@ -10,7 +10,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from specsim.ngram import END, train_ngram
-from specsim.phrases import PhraseTable, translate
+from specsim.phrases import PhraseTable, PrefixView, StreamTranslation, translate
 from specsim.predictor import (NgramBackend, NoPrediction, Prediction,
                                PredictionSet, RemoteBackend,
                                load_scripted_fixture, predict, prediction_set)
@@ -149,6 +149,43 @@ def test_ngram_backend_deterministic_and_cached():
     grown = backend.predict(CTX, ("a", "b"), 3)
     fresh = NgramBackend(model, table, max_len=4).predict(CTX, ("a", "b"), 3)
     assert grown == fresh
+
+
+def test_ngram_backend_same_answer_for_every_kind_of_prefix():
+    """A current view (whose stream the backend reads and scans), a plain
+    tuple, a stale view and a view over another table all give the same
+    predictions; the stale and foreign streams hold translations that would
+    differ if the backend read them."""
+    rng = random.Random(8)
+    vocab = ["a", "b", "c", "d"]
+    for _ in range(40):
+        model = train_ngram([[rng.choice(vocab) for _ in range(rng.randint(2, 7))]
+                             for _ in range(5)], rng.randint(1, 3))
+        table = PhraseTable({(w,): (w.upper(),) for w in vocab})
+        table.add(("a", "b"), ("AB",))
+        table.add(("b", "c", "d"), ("BCD",))
+        other = PhraseTable({(w,): (w + "?",) for w in vocab})
+        backend = NgramBackend(model, table, max_len=rng.randint(1, 4))
+        k = rng.randint(1, 4)
+        tokens = [rng.choice(vocab) for _ in range(12)]
+        live = StreamTranslation()
+        for n in range(len(tokens) + 1):
+            prefix = tuple(tokens[:n])
+            want = NgramBackend(model, table, max_len=backend.max_len).predict(
+                CTX, prefix, k)
+            current = PrefixView(live, table)
+            stale_stream = StreamTranslation()
+            stale_stream.extend(table, prefix)
+            stale = PrefixView(stale_stream, table)
+            stale_stream.extend(table, ["d", "c", "b", "a"])
+            foreign_stream = StreamTranslation()
+            foreign_stream.extend(other, prefix)
+            foreign = PrefixView(foreign_stream, other)
+            for view in (current, prefix, stale, foreign):
+                assert backend.predict(CTX, view, k) == want
+            assert current.is_current() and not stale.is_current()
+            if n < len(tokens):
+                live.src.append(tokens[n])  # appended, not scanned
 
 
 def test_ngram_backend_never_raises_no_prediction():

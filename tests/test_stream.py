@@ -72,6 +72,7 @@ def test_parse_rejects_event_after_final():
     '{"i":0,"t_ms":0}',
     '{"i":"0","tok":"a","t_ms":0}',
     '{"i":0,"tok":"","t_ms":0}',
+    pytest.param("[" * 100000, id="nested-too-deeply"),
 ])
 def test_parse_rejects_malformed_records(bad):
     with pytest.raises(MalformedRecord):
@@ -83,6 +84,9 @@ def test_parse_rejects_bad_header():
         parse_transcript(lines('{"src":"ja"}', '{"i":0,"tok":"a","t_ms":0,"final":true}'))
     with pytest.raises(MalformedRecord):
         parse_transcript(lines('{"src":"","tgt":"en"}',
+                               '{"i":0,"tok":"a","t_ms":0,"final":true}'))
+    with pytest.raises(MalformedRecord):
+        parse_transcript(lines("{" + '"a":{' * 100000,
                                '{"i":0,"tok":"a","t_ms":0,"final":true}'))
 
 

@@ -117,7 +117,7 @@ def test_expand_scales_children_to_node_mass():
         [Prediction(("a",), 0.4, ("ta",)), Prediction(("z", END), 0.6, ("tz",))]))
     advance(tree, "a")  # consume the non-terminal edge; z dies
     node = next(n for n in tree.leaves() if not n.is_other and n.consumed)
-    assert expand(tree, node, backend, CTX, 4)
+    assert expand(tree, node, backend, CTX, ("a",), 4)
     kids = [c for c in node.children if not c.is_other]
     assert [c.path_p for c in kids] == pytest.approx(
         [0.5 * node.path_p, 0.5 * node.path_p])
@@ -132,7 +132,7 @@ def test_expand_depth_cap_is_noop():
     node = next(n for n in tree.leaves() if not n.is_other)
     assert node.depth == 1
     assert expandable_leaves(tree, max_depth=1) == []
-    assert not expand(tree, node, backend, CTX, 4, max_depth=1)
+    assert not expand(tree, node, backend, CTX, ("a",), 4, max_depth=1)
     assert node.is_leaf()
 
 
@@ -146,10 +146,10 @@ def test_expand_two_rounds_gives_product_masses():
     tree = build_tree((), prediction_set([Prediction(("a",), 1.0, ("t0",))]))
     advance(tree, "a")
     leaf = next(n for n in tree.leaves() if not n.is_other)
-    expand(tree, leaf, backend, CTX, 4)
+    expand(tree, leaf, backend, CTX, ("a",), 4)
     advance(tree, "b")
     leaf2 = next(n for n in tree.leaves() if not n.is_other and n.consumed)
-    expand(tree, leaf2, backend, CTX, 4)
+    expand(tree, leaf2, backend, CTX, ("a", "b"), 4)
     lows = sorted(n.path_p for n in tree.leaves() if not n.is_other and n.depth == 3)
     # renormalized after 'b' matched: 0.5-branch becomes 1.0, then 0.6/0.4 split
     assert lows == pytest.approx([0.4, 0.6], abs=1e-9)
@@ -161,7 +161,7 @@ def test_expand_no_prediction_becomes_other_only():
     tree = build_tree((), prediction_set([Prediction(("a",), 1.0, ("t",))]))
     advance(tree, "a")
     node = next(n for n in tree.leaves() if not n.is_other)
-    expand(tree, node, backend, CTX, 4)
+    expand(tree, node, backend, CTX, ("a",), 4)
     assert node.children and all(c.is_other for c in node.children)
     assert tree.total_mass() == pytest.approx(1.0, abs=1e-12)
 
@@ -278,9 +278,9 @@ def mutate_tree(tree, rng):
         if leaves:
             node = rng.choice(leaves)
             ps = random_ps(rng) if rng.random() < 0.8 else None
-            backend = FixedBackend({} if ps is None
-                                   else {tree.hypothesis_prefix(node): ps})
-            expand(tree, node, backend, CTX, 5)
+            prefix = node.edge  # the backend answers whatever prefix expand passes
+            backend = FixedBackend({} if ps is None else {prefix: ps})
+            expand(tree, node, backend, CTX, prefix, 5)
     else:
         prune(tree, rng.choice([0.0, 0.02, 0.1]), rng.randint(1, 5))
 
