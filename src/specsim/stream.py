@@ -118,14 +118,14 @@ def config_from_json(text: str) -> EngineConfig:
     return EngineConfig(**data)
 
 
-def _require(cond: bool, exc: TranscriptError):
-    if not cond:
-        raise exc
+# json.loads decodes through one shared default decoder too; calling it
+# directly skips loads' per-call argument checks.
+_decode = json.JSONDecoder().decode
 
 
 def _record(raw: str, lineno: int, invalid: str):
     try:
-        return json.loads(raw)
+        return _decode(raw)
     except json.JSONDecodeError:
         raise MalformedRecord(invalid, lineno) from None
     except RecursionError:
@@ -135,11 +135,15 @@ def _record(raw: str, lineno: int, invalid: str):
 def parse_transcript(text: str) -> Transcript:
     """Parse the line-delimited JSON transcript format.
 
-    First line is the header {"src":..,"tgt":..,"ref":[..]} (ref optional);
-    every following line is {"i":..,"tok":..,"t_ms":..} with "final":true on
-    the last event only.
+    First line is the header {"src":..,"tgt":..,"ref":[..]} (ref optional, a
+    list of non-empty tokens); every following line is {"i":..,"tok":..,
+    "t_ms":..} with integer (not boolean) i and t_ms, and "final":true on the
+    last event only ("final", when present, must be a JSON boolean).
+
+    Each check raises at the first failure, in the order written; on a valid
+    record no exception object is built.
     """
-    lines = [ln for ln in text.splitlines()]
+    lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise MalformedRecord("missing header line", 1)
     header = _record(lines[0], 1, "header is not valid JSON")
@@ -150,34 +154,40 @@ def parse_transcript(text: str) -> Transcript:
         raise MalformedRecord("language tags must be non-empty strings", 1)
     ref = header.get("ref")
     if ref is not None:
-        if not isinstance(ref, list) or not all(isinstance(t, str) for t in ref):
+        if not isinstance(ref, list) or not all(isinstance(t, str) and t for t in ref):
             raise MalformedRecord("ref must be a list of tokens", 1)
         ref = tuple(ref)
 
     events: list[TokenEvent] = []
     final_seen = False
+    last_t = 0
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
         rec = _record(raw, lineno, "not valid JSON")
         if not isinstance(rec, dict):
             raise MalformedRecord("record must be a JSON object", lineno)
-        _require(final_seen is False, MalformedRecord("event after final marker", lineno))
+        if final_seen:
+            raise MalformedRecord("event after final marker", lineno)
         try:
             idx, tok, t_ms = rec["i"], rec["tok"], rec["t_ms"]
         except KeyError as missing:
             raise MalformedRecord(f"missing field {missing}", lineno) from None
-        if not isinstance(idx, int) or not isinstance(tok, str) or not isinstance(t_ms, int):
+        # JSON decodes numbers to exact int (or float) and true/false to bool,
+        # an int subclass that the exact type test refuses.
+        if type(idx) is not int or type(tok) is not str or type(t_ms) is not int:
             raise MalformedRecord("field types must be i:int tok:str t_ms:int", lineno)
         if not tok:
             raise MalformedRecord("empty token", lineno)
-        is_final = bool(rec.get("final", False))
-        _require(idx == len(events), IndexGap(f"expected index {len(events)}, got {idx}", lineno))
-        if events:
-            _require(t_ms >= events[-1].t_ms,
-                     NonMonotonicTime(f"t_ms {t_ms} < {events[-1].t_ms}", lineno))
+        is_final = rec.get("final", False)
+        if type(is_final) is not bool:
+            raise MalformedRecord("final must be true or false", lineno)
+        if idx != len(events):
+            raise IndexGap(f"expected index {len(events)}, got {idx}", lineno)
+        if events and t_ms < last_t:
+            raise NonMonotonicTime(f"t_ms {t_ms} < {last_t}", lineno)
         events.append(TokenEvent(idx, tok, t_ms, is_final))
-        final_seen = is_final
+        final_seen, last_t = is_final, t_ms
     if not events or not final_seen:
         raise MissingFinalMarker()
     return Transcript(src, tgt, tuple(events), ref)

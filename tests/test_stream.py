@@ -8,9 +8,9 @@ import pytest
 
 from specsim.stream import (EngineConfig, IndexGap, MalformedRecord,
                             MissingFinalMarker, NonMonotonicTime, TokenEvent,
-                            Transcript, config_from_json, parse_transcript,
-                            serialize_transcript, transcript_from_tokens,
-                            validate_config)
+                            Transcript, TranscriptError, config_from_json,
+                            parse_transcript, serialize_transcript,
+                            transcript_from_tokens, validate_config)
 
 HEADER = '{"src":"ja","tgt":"en"}'
 
@@ -73,21 +73,119 @@ def test_parse_rejects_event_after_final():
     '{"i":"0","tok":"a","t_ms":0}',
     '{"i":0,"tok":"","t_ms":0}',
     pytest.param("[" * 100000, id="nested-too-deeply"),
+    # booleans are not integers, and only a JSON boolean is an end marker
+    '{"i":false,"tok":"a","t_ms":true,"final":true}',
+    '{"i":0,"tok":"a","t_ms":true,"final":true}',
+    '{"i":true,"tok":"a","t_ms":0,"final":true}',
+    '{"i":0,"tok":"a","t_ms":0,"final":"no"}',
+    '{"i":0,"tok":"a","t_ms":0,"final":1}',
+    '{"i":0,"tok":"a","t_ms":0,"final":0}',
+    '{"i":0,"tok":"a","t_ms":0,"final":null}',
 ])
 def test_parse_rejects_malformed_records(bad):
-    with pytest.raises(MalformedRecord):
+    with pytest.raises(MalformedRecord) as err:
         parse_transcript(lines(HEADER, bad))
+    assert err.value.line == 2
 
 
 def test_parse_rejects_bad_header():
-    with pytest.raises(MalformedRecord):
-        parse_transcript(lines('{"src":"ja"}', '{"i":0,"tok":"a","t_ms":0,"final":true}'))
-    with pytest.raises(MalformedRecord):
-        parse_transcript(lines('{"src":"","tgt":"en"}',
-                               '{"i":0,"tok":"a","t_ms":0,"final":true}'))
-    with pytest.raises(MalformedRecord):
-        parse_transcript(lines("{" + '"a":{' * 100000,
-                               '{"i":0,"tok":"a","t_ms":0,"final":true}'))
+    for header in ['{"src":"ja"}',
+                   '{"src":"","tgt":"en"}',
+                   "{" + '"a":{' * 100000,
+                   '{"src":"ja","tgt":"en","ref":[""]}',
+                   '{"src":"ja","tgt":"en","ref":["I","","ate"]}']:
+        with pytest.raises(MalformedRecord) as err:
+            parse_transcript(lines(header, '{"i":0,"tok":"a","t_ms":0,"final":true}'))
+        assert err.value.line == 1
+
+
+EV0 = '{"i":0,"tok":"a","t_ms":100}'
+FINAL0 = '{"i":0,"tok":"a","t_ms":100,"final":true}'
+
+
+# (transcript, class, message, line) for every rejection the parser makes
+REJECTIONS = [
+    ("", MalformedRecord, "missing header line", 1),
+    (lines("  ", HEADER, FINAL0), MalformedRecord, "missing header line", 1),
+    (lines("not json", FINAL0), MalformedRecord, "header is not valid JSON", 1),
+    (lines("[" * 100000, FINAL0), MalformedRecord, "JSON is nested too deeply", 1),
+    (lines("[1]", FINAL0), MalformedRecord, "header must carry src and tgt", 1),
+    (lines('{"tgt":"en"}', FINAL0), MalformedRecord, "header must carry src and tgt", 1),
+    (lines('{"src":"ja","tgt":5}', FINAL0), MalformedRecord,
+     "language tags must be non-empty strings", 1),
+    (lines('{"src":"ja","tgt":"en","ref":"I ate"}', FINAL0), MalformedRecord,
+     "ref must be a list of tokens", 1),
+    (lines('{"src":"ja","tgt":"en","ref":["I",2]}', FINAL0), MalformedRecord,
+     "ref must be a list of tokens", 1),
+    # line numbers count the blank lines that are skipped
+    (lines(HEADER, "", "  ", "not json"), MalformedRecord, "not valid JSON", 4),
+    (lines(HEADER, "\t", "[" * 100000), MalformedRecord, "JSON is nested too deeply", 3),
+    (lines(HEADER, "", "[1]"), MalformedRecord, "record must be a JSON object", 3),
+    (lines(HEADER, '{"tok":"a","t_ms":0}'), MalformedRecord, "missing field 'i'", 2),
+    (lines(HEADER, '{"i":0,"t_ms":0}'), MalformedRecord, "missing field 'tok'", 2),
+    (lines(HEADER, '{"i":0,"tok":"a"}'), MalformedRecord, "missing field 't_ms'", 2),
+    (lines(HEADER, '{"t_ms":0}'), MalformedRecord, "missing field 'i'", 2),
+    (lines(HEADER, '{"i":0,"tok":5,"t_ms":0}'), MalformedRecord,
+     "field types must be i:int tok:str t_ms:int", 2),
+    (lines(HEADER, '{"i":0,"tok":"a","t_ms":1.5}'), MalformedRecord,
+     "field types must be i:int tok:str t_ms:int", 2),
+    (lines(HEADER, EV0, "", '{"i":1,"tok":"","t_ms":100}'), MalformedRecord,
+     "empty token", 4),
+    (lines(HEADER, "", EV0, "", "", '{"i":2,"tok":"b","t_ms":200,"final":true}'),
+     IndexGap, "expected index 1, got 2", 6),
+    (lines(HEADER, EV0, '{"i":0,"tok":"b","t_ms":200}'), IndexGap,
+     "expected index 1, got 0", 3),
+    (lines(HEADER, EV0, "", '{"i":1,"tok":"b","t_ms":99,"final":true}'),
+     NonMonotonicTime, "t_ms 99 < 100", 4),
+    (lines(HEADER, FINAL0, "", '{"i":1,"tok":"b","t_ms":200}'), MalformedRecord,
+     "event after final marker", 4),
+    # the first failing check wins
+    (lines(HEADER, FINAL0, "{}"), MalformedRecord, "event after final marker", 3),
+    (lines(HEADER, FINAL0, '{"i":"x","tok":"","t_ms":0}'), MalformedRecord,
+     "event after final marker", 3),
+    (lines(HEADER, FINAL0, "[2]"), MalformedRecord, "record must be a JSON object", 3),
+    (lines(HEADER, FINAL0, "{"), MalformedRecord, "not valid JSON", 3),
+    (lines(HEADER, '{"i":"x","tok":""}'), MalformedRecord, "missing field 't_ms'", 2),
+    (lines(HEADER, '{"i":"x","tok":"","t_ms":0}'), MalformedRecord,
+     "field types must be i:int tok:str t_ms:int", 2),
+    (lines(HEADER, '{"i":5,"tok":"","t_ms":0}'), MalformedRecord, "empty token", 2),
+    (lines(HEADER, EV0, '{"i":7,"tok":"b","t_ms":0}'), IndexGap,
+     "expected index 1, got 7", 3),
+    (lines('{"src":"ja"}', "not json"), MalformedRecord, "header must carry src and tgt", 1),
+    (lines(HEADER, EV0).replace("\n", "\r\n") + "\r\n" + "[1]\r\n", MalformedRecord,
+     "record must be a JSON object", 4),
+    (lines(HEADER), MissingFinalMarker, "no event carries the end-of-utterance marker", None),
+    (lines(HEADER, EV0, "", ""), MissingFinalMarker,
+     "no event carries the end-of-utterance marker", None),
+]
+
+
+@pytest.mark.parametrize("text, exc, message, line", REJECTIONS,
+                         ids=[f"{n}-{case[2]}" for n, case in enumerate(REJECTIONS)])
+def test_parse_rejection_class_message_and_line(text, exc, message, line):
+    with pytest.raises(TranscriptError) as err:
+        parse_transcript(text)
+    assert type(err.value) is exc
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
+def test_parse_valid_transcript_builds_no_errors(monkeypatch):
+    built = []
+    init = TranscriptError.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TranscriptError, "__init__", counting_init)
+    tr = transcript_from_tokens([f"w{i % 50}" for i in range(5000)], reference=["x"])
+    parsed = parse_transcript(serialize_transcript(tr))
+    assert parsed == tr
+    assert built == []
+    with pytest.raises(IndexGap):
+        parse_transcript(lines(HEADER, '{"i":1,"tok":"a","t_ms":0,"final":true}'))
+    assert built == [IndexGap]
 
 
 def test_roundtrip_property_on_random_transcripts():
