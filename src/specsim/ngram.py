@@ -4,8 +4,10 @@ Desk-scale continuation predictor: additive-alpha smoothing over the full
 vocabulary at the highest available order, dropping an order (scored with a
 0.4 stupid-backoff factor) only when the queried history itself was never
 seen. Counts and parameters are fixed after training; queries are
-deterministic and change no result, but `distribution` fills a per-history
-memo (`_dist_cache`) as it is queried.
+deterministic and change no result, but `continuations` fills a memo of
+successor rows (`_rows`) as it is queried. The memo is keyed on the counted
+history that backoff reaches and its factor, so it is bounded by the model
+(at most `len(counts) * order` rows), not by the histories asked about.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ class NgramModel:
         self.vocab = tuple(sorted(set(vocab) | {END}))
         self.counts = counts
         self.totals = {h: sum(d.values()) for h, d in counts.items()}
-        self._dist_cache: dict[tuple[str, ...], list[float]] = {}
+        self._rows: dict[tuple[tuple[str, ...], float],
+                         tuple[dict[str, float], float]] = {}
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, NgramModel)
@@ -73,20 +76,24 @@ class NgramModel:
         v = len(self.vocab)
         return factor * (c + self.alpha) / (total + self.alpha * v)
 
-    def distribution(self, history: Sequence[str]) -> list[float]:
-        """Conditional probabilities aligned with self.vocab (backoff included)."""
-        hist = self._effective_history(history)
-        cached = self._dist_cache.get(hist)
-        if cached is not None:
-            return cached
-        h, factor = self._backoff(hist)
-        total = self.totals.get(h, 0)
-        row = self.counts.get(h, {})
-        v = len(self.vocab)
-        denom = total + self.alpha * v
-        dist = [factor * (row.get(tok, 0) + self.alpha) / denom for tok in self.vocab]
-        self._dist_cache[hist] = dist
-        return dist
+    def _row(self, hist: tuple[str, ...]) -> tuple[dict[str, float], float]:
+        """Successors of hist: {token: p} for the tokens counted after the
+        history that backoff reaches whose p exceeds the uncounted p, and that
+        uncounted p. Each p is the value conditional(hist, token) returns."""
+        key = self._backoff(hist)
+        row = self._rows.get(key)
+        if row is None:
+            h, factor = key
+            counted = self.counts.get(h, {})
+            denom = self.totals.get(h, 0) + self.alpha * len(self.vocab)
+            low = factor * self.alpha / denom
+            above = {}
+            for tok, c in counted.items():
+                p = factor * (c + self.alpha) / denom
+                if p > low:
+                    above[tok] = p
+            row = self._rows[key] = (above, low)
+        return row
 
     def perplexity(self, window: Sequence[str]) -> float:
         """exp of the mean negative log conditional over the window."""
@@ -105,23 +112,36 @@ class NgramModel:
         max_len tokens; its probability is the product of step conditionals.
         Ties are broken lexicographically. Exact: every conditional is <= 1,
         so the first k completed states popped are the global top k.
+
+        A popped state pushes every vocab token as a child. Most children are
+        never popped, so a child carries its parent's history and works out
+        its own only when popped; every uncounted child shares one product.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
         if max_len < 1:
             raise ValueError("max_len must be >= 1")
+        vocab = self.vocab
+        n = self.order - 1
+        push, pop = heapq.heappush, heapq.heappop
+        # (-p, continuation, history): the history is the parent's for every
+        # state but the root. Continuations are unique, so no two keys tie.
         heap: list[tuple[float, tuple[str, ...], tuple[str, ...]]] = [
             (-1.0, (), self.history(prefix))]
         out: list[tuple[tuple[str, ...], float]] = []
         while heap and len(out) < k:
-            neg_p, cont, hist = heapq.heappop(heap)
-            if cont and (cont[-1] == END or len(cont) == max_len):
-                out.append((cont, -neg_p))
-                continue
-            dist = self.distribution(hist)
-            for tok, p in zip(self.vocab, dist):
-                nhist = self._effective_history(hist + (tok,))
-                heapq.heappush(heap, (neg_p * p, cont + (tok,), nhist))
+            neg_p, cont, hist = pop(heap)
+            if cont:
+                if cont[-1] == END or len(cont) == max_len:
+                    out.append((cont, -neg_p))
+                    continue
+                if n:
+                    hist = hist[1:] + cont[-1:]
+            above, low = self._row(hist)
+            neg_low = neg_p * low
+            for tok in vocab:
+                p = above.get(tok)
+                push(heap, (neg_low if p is None else neg_p * p, cont + (tok,), hist))
         return out
 
     def to_json(self) -> str:
@@ -155,6 +175,8 @@ class NgramModel:
             raise ValueError("vocab must be a list of non-empty strings")
         if not isinstance(raw, dict):
             raise ValueError("counts must be an object")
+        # a token outside the vocabulary would take mass from the conditionals
+        known = set(vocab) | {END}
         counts: dict[tuple[str, ...], dict[str, int]] = {}
         for h, row in raw.items():
             if not (isinstance(row, dict) and all(
@@ -162,6 +184,9 @@ class NgramModel:
                     for t, c in row.items())):
                 raise ValueError(f"counts for history {h!r} must map tokens to "
                                  f"integers >= 0")
+            if not row.keys() <= known:
+                raise ValueError(f"counts for history {h!r} name tokens outside "
+                                 f"vocab: {sorted(row.keys() - known)!r}")
             counts[tuple(h.split(" ")) if h else ()] = dict(row)
         return cls(order, alpha, vocab, counts)
 

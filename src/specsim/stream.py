@@ -140,11 +140,16 @@ def parse_transcript(text: str) -> Transcript:
     "t_ms":..} with integer (not boolean) i and t_ms, and "final":true on the
     last event only ("final", when present, must be a JSON boolean).
 
+    Records end at a line feed only. A carriage return before it is JSON
+    whitespace, so CRLF files parse alike; a lone carriage return, U+0085,
+    U+2028 and U+2029 (which JSON writes unescaped inside a string) do not
+    end a record.
+
     Each check raises at the first failure, in the order written; on a valid
     record no exception object is built.
     """
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
+    lines = text.split("\n")
+    if not lines[0].strip():
         raise MalformedRecord("missing header line", 1)
     header = _record(lines[0], 1, "header is not valid JSON")
     if not isinstance(header, dict) or "src" not in header or "tgt" not in header:

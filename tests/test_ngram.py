@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specsim.ngram import (END, START, EmptyCorpus, NgramModel, parse_corpus,
                            train_ngram)
@@ -90,23 +93,45 @@ def test_continuations_single_sentence_top1():
     assert p == pytest.approx(hand, abs=1e-12)
 
 
-def test_continuations_match_exhaustive_enumeration():
-    rng = random.Random(42)
-    for _ in range(40):
-        order = rng.randint(1, 3)
-        sigma = ["a", "b", "c", "d", "e"][:rng.randint(2, 5)]
-        corpus = [[rng.choice(sigma) for _ in range(rng.randint(1, 5))]
-                  for _ in range(rng.randint(1, 6))]
-        m = train_ngram(corpus, order, alpha=rng.choice([0.1, 0.5]))
-        assert len(m.vocab) <= 6
-        prefix = [rng.choice(sigma) for _ in range(rng.randint(0, 3))]
-        k = rng.randint(1, 5)
-        max_len = rng.randint(1, 4)
-        got = m.continuations(prefix, k, max_len)
-        want = enumerate_continuations(m, prefix, k, max_len)
-        assert [c for c, _ in got] == [c for c, _ in want]
-        for (_, pg), (_, pw) in zip(got, want):
-            assert abs(pg - pw) <= 1e-9
+@st.composite
+def models(draw):
+    """Small models: trained ones, and ones loaded from JSON with count-0 entries.
+    A large alpha puts counted conditionals just above the uncounted one, and
+    1e18 makes every c + alpha round to alpha."""
+    order = draw(st.integers(1, 3))
+    sigma = "abcde"[:draw(st.integers(1, 5))]
+    corpus = draw(st.lists(st.lists(st.sampled_from(sigma), min_size=1, max_size=5),
+                           min_size=1, max_size=6))
+    alpha = draw(st.sampled_from([0.1, 0.5, 1, 4.0, 1e5, 1e18]))
+    m = train_ngram(corpus, order, alpha=alpha)
+    if draw(st.booleans()):
+        data = json.loads(m.to_json())
+        for row in data["counts"].values():
+            for tok in draw(st.lists(st.sampled_from(m.vocab), max_size=3)):
+                row.setdefault(tok, 0)
+        m = NgramModel.from_json(json.dumps(data))
+    return m, sigma
+
+
+@settings(derandomize=True, max_examples=150, database=None, deadline=None)
+@given(models(), st.data())
+def test_continuations_match_exhaustive_enumeration(model_sigma, data):
+    m, sigma = model_sigma
+    prefix = data.draw(st.lists(st.sampled_from(sigma + "q"), max_size=3))
+    k = data.draw(st.integers(1, 6))
+    max_len = data.draw(st.integers(1, 4))
+    assert m.continuations(prefix, k, max_len) == enumerate_continuations(
+        m, prefix, k, max_len)
+
+
+def test_row_memo_is_bounded_by_the_model():
+    m = train_ngram([list("abcdefgh"), list("hgfedcba"), list("aceg")], 3)
+    histories = list(itertools.product(m.vocab + (START,), repeat=m.order - 1))
+    bound = len(m.counts) * m.order
+    assert len(histories) > bound  # one row per history would break the bound
+    for hist in histories:
+        m.continuations(hist, 1, 1)
+    assert 0 < len(m._rows) <= bound
 
 
 def test_continuations_deterministic():
@@ -161,6 +186,8 @@ def _model_json(**fields):
     pytest.param(_model_json(counts={"a": {"b": 1.5}}), id="count-float"),
     pytest.param(_model_json(counts={"a": {"b": True}}), id="count-bool"),
     pytest.param(_model_json(counts={"a": {"b": None}}), id="count-null"),
+    pytest.param(_model_json(counts={"": {"a": 1, "zz": 5}}), id="count-token-outside-vocab"),
+    pytest.param(_model_json(counts={"a": {START: 1}}), id="count-start-token"),
 ])
 def test_model_json_rejects_bad_shapes(text):
     with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specsim.stream import (EngineConfig, IndexGap, MalformedRecord,
                             MissingFinalMarker, NonMonotonicTime, TokenEvent,
@@ -157,6 +159,12 @@ REJECTIONS = [
     (lines(HEADER), MissingFinalMarker, "no event carries the end-of-utterance marker", None),
     (lines(HEADER, EV0, "", ""), MissingFinalMarker,
      "no event carries the end-of-utterance marker", None),
+    # only a line feed ends a record
+    (HEADER + "\r" + FINAL0 + "\n", MalformedRecord, "header is not valid JSON", 1),
+    (lines(HEADER, EV0 + "\r" + '{"i":1,"tok":"b","t_ms":200,"final":true}'),
+     MalformedRecord, "not valid JSON", 2),
+    (lines(HEADER, EV0 + "\u2028" + '{"i":1,"tok":"b","t_ms":200,"final":true}'),
+     MalformedRecord, "not valid JSON", 2),
 ]
 
 
@@ -210,6 +218,23 @@ def test_roundtrip_property_on_random_transcripts():
         assert all(x.t_ms <= y.t_ms for x, y in zip(again.events, again.events[1:]))
         assert sum(ev.is_final for ev in again.events) == 1
         assert again.events[-1].is_final
+
+
+@pytest.mark.parametrize("tok", ["a\u2028b", "a\u2029b", "a\x85b", "a\rb", "a\nb",
+                                 "a\r\nb", "\r", "\x1e", "a\x0bb\x0cc"])
+def test_roundtrip_keeps_line_breaking_characters_inside_a_token(tok):
+    tr = transcript_from_tokens([tok, "c"], reference=[tok])
+    assert parse_transcript(serialize_transcript(tr)) == tr
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(st.lists(st.text(min_size=1), min_size=1, max_size=8),
+       st.none() | st.lists(st.text(min_size=1), max_size=4))
+def test_roundtrip_property_on_arbitrary_unicode_tokens(toks, ref):
+    tr = transcript_from_tokens(toks, reference=ref)
+    text = serialize_transcript(tr)
+    assert parse_transcript(text) == tr
+    assert parse_transcript(text.replace("\n", "\r\n")) == tr
 
 
 def test_transcript_from_tokens_builder():
