@@ -19,7 +19,7 @@ from .replay import events_to_jsonl, parse_lag_profile, replay
 from .stream import (ContextDoc, EngineConfig, IndexGap, MalformedRecord,
                      MissingFinalMarker, NonMonotonicTime, TokenEvent,
                      Transcript, parse_transcript, serialize_transcript,
-                     transcript_from_tokens, validate_config)
+                     transcript_from_tokens)
 from .template import (Hole, RevisionConflict, TargetTemplate, consensus,
                        emittable, refine)
 from .tree import (MatchOutcome, PredictionTree, TreeNode, advance, build_tree,
@@ -35,7 +35,7 @@ __all__ = [
     # stream
     "TokenEvent", "Transcript", "ContextDoc", "EngineConfig",
     "parse_transcript", "serialize_transcript", "transcript_from_tokens",
-    "validate_config", "MalformedRecord", "NonMonotonicTime", "IndexGap",
+    "MalformedRecord", "NonMonotonicTime", "IndexGap",
     "MissingFinalMarker",
     # predictor
     "Prediction", "PredictionSet", "Backend", "NoPrediction", "predict",

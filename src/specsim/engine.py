@@ -25,7 +25,7 @@ from .metrics import SessionReport, compute_report
 from .phrases import (PhraseTable, PrefixView, StreamTranslation, idiom_spans,
                       translate)
 from .predictor import Backend, NoPrediction
-from .stream import ContextDoc, EngineConfig, TokenEvent, validate_config
+from .stream import ContextDoc, EngineConfig, TokenEvent
 from .template import (RevisionConflict, TargetTemplate, all_hole_template,
                        consensus, emittable, extend_into_hole, fixed_template,
                        refine, resolve_with)
@@ -78,9 +78,6 @@ class Session:
 
     def __init__(self, config: EngineConfig, context: ContextDoc,
                  backend: Backend, table: PhraseTable):
-        bad = validate_config(config)
-        if bad:
-            raise ValueError("invalid config: " + "; ".join(bad))
         self.config = config
         self.context = context
         self.backend = backend

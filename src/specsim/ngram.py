@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import sys
 from typing import Iterable, Sequence
 
 START = "<s>"
@@ -28,19 +29,38 @@ class EmptyCorpus(ValueError):
 
 
 class NgramModel:
-    """Raw occurrence counts for every history length up to order - 1."""
+    """Raw occurrence counts for every history length up to order - 1.
+
+    ValueError unless order is an int >= 1, alpha a finite number > 0, each
+    vocab token a non-empty str and each count an int >= 0 for a token in
+    vocab or END (any other would take mass from the conditionals).
+    """
 
     def __init__(self, order: int, alpha: float, vocab: Iterable[str],
                  counts: dict[tuple[str, ...], dict[str, int]]):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if isinstance(order, bool) or not isinstance(order, int) or order < 1:
+            raise ValueError(f"order must be an integer >= 1, not {order!r}")
+        # NaN fails the range, and a larger int would overflow float arithmetic
+        if (isinstance(alpha, bool) or not isinstance(alpha, (int, float))
+                or not 0 < alpha <= sys.float_info.max):
+            raise ValueError(f"alpha must be a finite number > 0, not {alpha!r}")
+        vocab = tuple(vocab)
+        if not all(isinstance(t, str) and t for t in vocab):
+            raise ValueError("vocab tokens must be non-empty strings")
+        known = set(vocab) | {END}
+        totals = {}
+        for h, row in counts.items():
+            if not all(type(c) is int and c >= 0 for c in row.values()):
+                raise ValueError(f"counts for history {h!r} must be integers >= 0")
+            if not row.keys() <= known:
+                raise ValueError(f"counts for history {h!r} name tokens outside "
+                                 f"vocab: {sorted(row.keys() - known, key=repr)!r}")
+            totals[h] = sum(row.values())
         self.order = order
         self.alpha = alpha
-        self.vocab = tuple(sorted(set(vocab) | {END}))
+        self.vocab = tuple(sorted(known))
         self.counts = counts
-        self.totals = {h: sum(d.values()) for h, d in counts.items()}
+        self.totals = totals
         self._rows: dict[tuple[tuple[str, ...], float],
                          tuple[dict[str, float], float]] = {}
 
@@ -166,28 +186,11 @@ class NgramModel:
             raise ValueError('model must be an object with "order", "alpha", '
                              '"vocab" and "counts"')
         order, alpha, vocab, raw = (data[f] for f in fields)
-        if isinstance(order, bool) or not isinstance(order, int) or order < 1:
-            raise ValueError(f"order must be an integer >= 1, not {order!r}")
-        if (isinstance(alpha, bool) or not isinstance(alpha, (int, float))
-                or not math.isfinite(alpha) or alpha <= 0):
-            raise ValueError(f"alpha must be a finite number > 0, not {alpha!r}")
-        if not isinstance(vocab, list) or not all(isinstance(t, str) and t for t in vocab):
-            raise ValueError("vocab must be a list of non-empty strings")
-        if not isinstance(raw, dict):
-            raise ValueError("counts must be an object")
-        # a token outside the vocabulary would take mass from the conditionals
-        known = set(vocab) | {END}
-        counts: dict[tuple[str, ...], dict[str, int]] = {}
-        for h, row in raw.items():
-            if not (isinstance(row, dict) and all(
-                    isinstance(t, str) and type(c) is int and c >= 0
-                    for t, c in row.items())):
-                raise ValueError(f"counts for history {h!r} must map tokens to "
-                                 f"integers >= 0")
-            if not row.keys() <= known:
-                raise ValueError(f"counts for history {h!r} name tokens outside "
-                                 f"vocab: {sorted(row.keys() - known)!r}")
-            counts[tuple(h.split(" ")) if h else ()] = dict(row)
+        if not isinstance(vocab, list):
+            raise ValueError("vocab must be a list")
+        if not (isinstance(raw, dict) and all(isinstance(row, dict) for row in raw.values())):
+            raise ValueError("counts must be an object of objects")
+        counts = {tuple(h.split(" ")) if h else (): row for h, row in raw.items()}
         return cls(order, alpha, vocab, counts)
 
 

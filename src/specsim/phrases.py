@@ -40,10 +40,13 @@ class PhraseTable:
                 self.add(src, tgt, atomic=tuple(src) in atomic_keys)
 
     def add(self, source: Sequence[str], target: Sequence[str], atomic: bool = False):
-        src = tuple(source)
+        """Add or replace an entry; ValueError on an empty source or a blank token."""
+        src, tgt = tuple(source), tuple(target)
         if not src:
             raise ValueError("empty source key")
-        self._entries[src] = tuple(target)
+        if not all(isinstance(t, str) and t for t in src + tgt):
+            raise ValueError(f"blank token in entry {src!r} -> {tgt!r}")
+        self._entries[src] = tgt
         if atomic:
             self._atomic.add(src)
         lens = self._by_first.setdefault(src[0], [])
@@ -75,15 +78,6 @@ class PhraseTable:
                 if cand in self._entries:
                     return cand
         return None
-
-    def validate(self) -> list[str]:
-        bad = []
-        for src in self._entries:
-            if not src:
-                bad.append("empty source key")
-            if any(not t for t in src):
-                bad.append(f"blank token in source key {src!r}")
-        return bad
 
 
 def _scan(table: PhraseTable, source: Sequence[str], pos: int, stop: int,
@@ -144,17 +138,16 @@ def parse_phrase_table(text: str) -> PhraseTable:
         parts = line.split("\t")
         if len(parts) not in (2, 3):
             raise ValueError(f"line {lineno}: expected 2 or 3 tab-separated fields")
-        src = tuple(parts[0].split())
-        tgt = tuple(parts[1].split())
-        if not src:
-            raise ValueError(f"line {lineno}: empty source key")
         atomic = False
         if len(parts) == 3:
             flag = parts[2].strip()
             if flag and flag != "atomic":
                 raise ValueError(f"line {lineno}: unknown flag {flag!r}")
             atomic = flag == "atomic"
-        table.add(src, tgt, atomic=atomic)
+        try:
+            table.add(parts[0].split(), parts[1].split(), atomic=atomic)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return table
 
 

@@ -17,8 +17,9 @@ import math
 import sys
 import urllib.error
 import urllib.request
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from .ngram import END, NgramModel
 from .phrases import PhraseTable, PrefixView, StreamTranslation
@@ -57,38 +58,35 @@ class Prediction:
 
 @dataclass(frozen=True, slots=True)
 class PredictionSet:
-    """Ranked hypotheses (p descending, ties lexicographic) plus residual mass."""
+    """Ranked hypotheses (p descending, ties lexicographic) plus residual
+    mass; built only by prediction_set, which checks it."""
 
     items: tuple[Prediction, ...]
     other_mass: float
 
-    def validate(self, k: int | None = None) -> list[str]:
-        bad = []
-        total = math.fsum(pr.p for pr in self.items)
-        if total > 1 + _EPS:
-            bad.append(f"probabilities sum to {total:.6f} > 1")
-        if self.other_mass < -_EPS:
-            bad.append(f"other_mass {self.other_mass:.6f} < 0")
-        if k is not None and len(self.items) > k:
-            bad.append(f"{len(self.items)} items exceed k={k}")
-        for pr in self.items:
-            if not pr.continuation:
-                bad.append("empty continuation")
-            if not 0 < pr.p <= 1:
-                bad.append(f"probability {pr.p} outside (0, 1]")
-        ranked = sorted(self.items, key=lambda pr: (-pr.p, pr.continuation))
-        if tuple(ranked) != self.items:
-            bad.append("items not sorted by p desc / continuation")
-        return bad
 
+def prediction_set(items: Iterable[Prediction]) -> PredictionSet:
+    """Check items, sort them canonically and derive the residual mass.
 
-def prediction_set(items: Sequence[Prediction]) -> PredictionSet:
-    """Sort items canonically and derive the residual mass."""
+    ValueError unless every p lies in (0, 1], every continuation is a
+    non-empty sequence of non-empty str tokens and the p sum to at most
+    1 + 1e-9. Translations, as long as the utterance, are checked by the JSON
+    loaders only, so a set costs O(k * horizon)."""
+    items = tuple(items)
+    for pr in items:  # before sorting, which compares the tokens
+        p, cont = pr.p, pr.continuation
+        try:  # NaN fails the range; join raises TypeError on a token not a str
+            good = 0 < p <= 1 and cont and "" not in cont and "".join(cont)
+        except TypeError:
+            good = False
+        if not good:
+            raise ValueError(f"prediction with probability {p!r} and continuation "
+                             f"{cont!r}: needs p in (0, 1] and non-empty str tokens")
     ranked = tuple(sorted(items, key=lambda pr: (-pr.p, pr.continuation)))
-    other = 1.0 - math.fsum(pr.p for pr in ranked)
-    if -_EPS < other < 0:
-        other = 0.0
-    return PredictionSet(ranked, other)
+    total = math.fsum(pr.p for pr in ranked)
+    if total > 1 + _EPS:
+        raise ValueError(f"probabilities sum to {total:.6f} > 1")
+    return PredictionSet(ranked, max(1.0 - total, 0.0))
 
 
 class Backend(Protocol):
@@ -105,10 +103,17 @@ def predict(backend: Backend, context: ContextDoc, prefix: Sequence[str], k: int
 
 
 class ScriptedBackend:
-    """Deterministic test backend: exact (context id, prefix) -> PredictionSet."""
+    """Deterministic test backend: exact (context id, prefix) -> PredictionSet,
+    built from each entry's predictions by prediction_set."""
 
-    def __init__(self, entries: dict[tuple[str, tuple[str, ...]], PredictionSet]):
-        self.entries = dict(entries)
+    def __init__(self, entries: Mapping[tuple[str, tuple[str, ...]], Iterable[Prediction]]):
+        self.entries: dict[tuple[str, tuple[str, ...]], PredictionSet] = {}
+        for (cid, prefix), items in entries.items():
+            try:
+                self.entries[cid, prefix] = prediction_set(items)
+            except ValueError as exc:
+                where = f"context {cid!r}, prefix {' '.join(prefix) or '<empty>'}"
+                raise ValueError(f"{where}: {exc}") from None
 
     @property
     def context_ids(self) -> list[str]:
@@ -124,11 +129,7 @@ class ScriptedBackend:
 
 
 def _cap(ps: PredictionSet, k: int) -> PredictionSet:
-    if len(ps.items) <= k:
-        return ps
-    kept = ps.items[:k]
-    other = 1.0 - math.fsum(pr.p for pr in kept)
-    return PredictionSet(kept, other)
+    return ps if len(ps.items) <= k else prediction_set(ps.items[:k])
 
 
 def _is_token_list(value: object) -> bool:
@@ -136,14 +137,16 @@ def _is_token_list(value: object) -> bool:
 
 
 def _prediction(item: object) -> Prediction:
-    """One {"cont", "p", "tr"} record: token lists of non-empty strings (cont
-    non-empty) and a finite numeric p > 0, else ValueError."""
+    """One {"cont", "p", "tr"} record: a list cont, a list tr of non-empty
+    strings and a numeric p that fits a float, else ValueError. The values of
+    p and cont are prediction_set's to check."""
     if not isinstance(item, dict) or not {"cont", "p", "tr"} <= item.keys():
         raise ValueError(f'item {item!r} needs "cont", "p" and "tr"')
     cont, p, tr = item["cont"], item["p"], item["tr"]
-    if not (cont and _is_token_list(cont) and _is_token_list(tr)):
+    if not (isinstance(cont, list) and _is_token_list(tr)):
         raise ValueError(f"bad tokens in item {item!r}")
-    if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 < p <= _FLOAT_MAX:
+    # NaN and the infinities are not JSON numbers; a larger int overflows float()
+    if isinstance(p, bool) or not isinstance(p, (int, float)) or not abs(p) <= _FLOAT_MAX:
         raise ValueError(f"bad probability in item {item!r}")
     return Prediction(tuple(cont), float(p), tuple(tr))
 
@@ -153,8 +156,8 @@ def load_scripted_fixture(text: str) -> ScriptedBackend:
 
     Each item is {"cont": [...tokens...], "p": float, "tr": [...tokens...]};
     a continuation ending with "</s>" marks an utterance-end hypothesis. Every
-    p lies in (0, 1] and each prefix's items sum to at most 1; any other shape
-    raises ValueError.
+    p lies in (0, 1] and each prefix's items sum to at most 1 (ScriptedBackend
+    checks both); any other shape raises ValueError.
     """
     try:
         data = json.loads(text)
@@ -163,7 +166,7 @@ def load_scripted_fixture(text: str) -> ScriptedBackend:
     contexts = data.get("contexts") if isinstance(data, dict) else None
     if not isinstance(contexts, dict):
         raise ValueError('fixture must carry a "contexts" object')
-    entries: dict[tuple[str, tuple[str, ...]], PredictionSet] = {}
+    entries: dict[tuple[str, tuple[str, ...]], list[Prediction]] = {}
     for cid, recs in contexts.items():
         if not isinstance(recs, list):
             raise ValueError(f"context {cid!r} must hold a list of entries")
@@ -172,26 +175,26 @@ def load_scripted_fixture(text: str) -> ScriptedBackend:
                     and isinstance(rec.get("items", []), list)):
                 raise ValueError(f"context {cid!r}: entry {rec!r} needs a token "
                                  f'list "prefix" and a list "items"')
-            prefix = tuple(rec["prefix"])
-            where = f"context {cid!r}, prefix {' '.join(prefix) or '<empty>'}"
-            items = [_prediction(it) for it in rec.get("items", [])]
-            if any(pr.p > 1 for pr in items):
-                raise ValueError(f"{where}: probability above 1")
-            total = math.fsum(pr.p for pr in items)
-            if total > 1 + _EPS:
-                raise ValueError(f"{where}: probabilities sum to {total:.6f} > 1")
-            key = (cid, prefix)
+            key = (cid, tuple(rec["prefix"]))
             if key in entries:
-                raise ValueError(f"duplicate fixture entry for {where}")
-            entries[key] = prediction_set(items)
+                raise ValueError(f"duplicate fixture entry for context {cid!r}, "
+                                 f"prefix {' '.join(key[1]) or '<empty>'}")
+            entries[key] = [_prediction(it) for it in rec.get("items", [])]
     return ScriptedBackend(entries)
+
+
+# Bound on NgramBackend's LRU continuation memo. A `sentences` benchmark round
+# (seed 1, warm-up included) fills 1,079 entries and `monologue` 133, so the
+# cap evicts only under many more distinct histories, as unknown tokens make.
+ENUM_CACHE_SIZE = 4096
 
 
 class NgramBackend:
     """n-gram continuation search plus phrase-table translation of hypotheses.
 
     Continuation search depends only on the last order-1 prefix tokens and is
-    memoized on them; the memo is all the state the backend keeps. Hypothesis
+    memoized on them (at most ENUM_CACHE_SIZE entries, least recently used
+    evicted); the memo is all the state the backend keeps. Hypothesis
     translation reads the caller's stream when the prefix is a current
     PrefixView over this backend's own table (a session's re-prediction), so
     a predict costs O(new tokens + k * |translation|); any other prefix is
@@ -199,18 +202,27 @@ class NgramBackend:
     """
 
     def __init__(self, model: NgramModel, table: PhraseTable, max_len: int = 12):
+        if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 1:
+            raise ValueError(f"max_len must be an integer >= 1, not {max_len!r}")
         self.model = model
         self.table = table
         self.max_len = max_len
-        self._enum_cache: dict[tuple, list[tuple[tuple[str, ...], float]]] = {}
+        self._enum_cache: OrderedDict[tuple, list] = OrderedDict()  # key -> [(cont, p)]
 
     def predict(self, context: ContextDoc, prefix: Sequence[str], k: int,
                 aux: Sequence[str] | None = None) -> PredictionSet:
         key = (self.model.history(prefix), k, self.max_len)
-        conts = self._enum_cache.get(key)
+        cache = self._enum_cache
+        conts = cache.get(key)
         if conts is None:
-            conts = self.model.continuations(prefix, k, self.max_len)
-            self._enum_cache[key] = conts
+            # a product of tiny conditionals can underflow to p = 0: drop it
+            conts = [(cont, p) for cont, p in
+                     self.model.continuations(prefix, k, self.max_len) if p > 0]
+            cache[key] = conts
+            if len(cache) > ENUM_CACHE_SIZE:
+                cache.popitem(last=False)
+        else:
+            cache.move_to_end(key)
         if (isinstance(prefix, PrefixView) and prefix.table is self.table
                 and prefix.is_current()):
             stream = prefix.stream
@@ -263,11 +275,10 @@ class RemoteBackend:
             raise NoPrediction(f"unreachable: {exc}") from exc
         if status != 200:
             raise NoPrediction(f"status {status}")
-        try:
-            items = self._parse(raw)
+        try:  # a rescale can underflow a p to 0, which prediction_set refuses
+            return _cap(prediction_set(self._parse(raw)), k)
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise NoPrediction(f"malformed response: {exc}") from exc
-        return _cap(prediction_set(items), k)
 
     @staticmethod
     def _parse(raw: bytes) -> list[Prediction]:

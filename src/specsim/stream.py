@@ -73,7 +73,9 @@ class ContextDoc:
 
 @dataclass(frozen=True, slots=True)
 class EngineConfig:
-    """Engine knobs; see validate_config for the legal ranges."""
+    """Engine knobs, checked on construction: ints are int (not bool), the
+    float fields are int or float, and every field lies in its legal range;
+    anything else raises one ValueError listing every violation."""
 
     k: int = 4                 # max named children per expansion
     d: int = 3                 # max tree depth in expansion rounds
@@ -83,32 +85,38 @@ class EngineConfig:
     drift_ratio: float = 2.0   # perplexity ratio triggering a context shift
     drift_window: int = 16     # tokens per drift check
 
-
-def validate_config(cfg: EngineConfig) -> list[str]:
-    """Return all constraint violations; an empty list means the config is valid."""
-    bad = []
-    if not cfg.k >= 1:
-        bad.append("k >= 1")
-    if not cfg.d >= 1:
-        bad.append("d >= 1")
-    if not 0 < cfg.epsilon:
-        bad.append("epsilon > 0")
-    if not cfg.epsilon < cfg.tau:
-        bad.append("epsilon < tau")
-    if not cfg.tau <= 1:
-        bad.append("tau <= 1")
-    if not cfg.buffer_limit >= 1:
-        bad.append("buffer_limit >= 1")
-    if not cfg.drift_ratio > 1:
-        bad.append("drift_ratio > 1")
-    if not cfg.drift_window >= 1:
-        bad.append("drift_window >= 1")
-    return bad
+    def __post_init__(self):
+        bad, num = [], {}
+        for name in self.__dataclass_fields__:
+            v = getattr(self, name)
+            integral = name in ("k", "d", "buffer_limit", "drift_window")
+            if isinstance(v, bool) or not isinstance(v, int if integral else (int, float)):
+                bad.append(f"{name} must be {'an integer' if integral else 'a number'}, "
+                           f"not {v!r}")
+            elif not integral:
+                num[name] = v
+            elif v < 1:
+                bad.append(f"{name} >= 1")
+        eps, tau, ratio = (num.get(n) for n in ("epsilon", "tau", "drift_ratio"))
+        # each range is checked where its fields are numbers; NaN fails all
+        if eps is not None and not 0 < eps:
+            bad.append("epsilon > 0")
+        if eps is not None and tau is not None and not eps < tau:
+            bad.append("epsilon < tau")
+        if tau is not None and not tau <= 1:
+            bad.append("tau <= 1")
+        if ratio is not None and not ratio > 1:
+            bad.append("drift_ratio > 1")
+        if bad:
+            raise ValueError("invalid config: " + "; ".join(bad))
 
 
 def config_from_json(text: str) -> EngineConfig:
     """Parse a JSON object whose keys mirror EngineConfig field names."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("config JSON is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
     known = set(EngineConfig.__dataclass_fields__)

@@ -9,7 +9,7 @@ import pytest
 
 from specsim.ngram import END, train_ngram
 from specsim.phrases import PhraseTable, parse_phrase_table, translate
-from specsim.predictor import Prediction, ScriptedBackend, load_scripted_fixture, prediction_set
+from specsim.predictor import Prediction, ScriptedBackend, load_scripted_fixture
 from specsim.stream import ContextDoc, EngineConfig, Transcript, parse_transcript, transcript_from_tokens
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -63,7 +63,7 @@ def make_scenario(rng: random.Random):
             tgt = tuple(f"g{rng.randrange(50)}" for _ in range(rng.randint(1, 3)))
             table.add(span, tgt)
 
-    def make_ps(prefix: tuple[str, ...]):
+    def make_items(prefix: tuple[str, ...]):
         remainder = tuple(true[len(prefix):])
         count = rng.randint(1, 4)
         conts: list[tuple[str, ...]] = []
@@ -76,18 +76,17 @@ def make_scenario(rng: random.Random):
                 conts.append(cont)
         masses = sorted((rng.uniform(0.05, 0.5) for _ in conts), reverse=True)
         scale = min(1.0, 0.97 / sum(masses))
-        items = [
+        return [
             Prediction(cont + (END,), m * scale,
                        translate(table, prefix + cont))
             for cont, m in zip(conts, masses)
         ]
-        return prediction_set(items)
 
-    entries = {("ctx", ()): make_ps(())}
+    entries = {("ctx", ()): make_items(())}
     for i in range(1, n):
         if rng.random() < 0.8:
             prefix = tuple(true[:i])
-            entries[("ctx", prefix)] = make_ps(prefix)
+            entries[("ctx", prefix)] = make_items(prefix)
     backend = ScriptedBackend(entries)
     transcript = transcript_from_tokens(true, reference=translate(table, true))
     return transcript, backend, table, ContextDoc("ctx")

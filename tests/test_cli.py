@@ -93,6 +93,21 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert "k >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    pytest.param('{"k": 1.5}', "k must be an integer", id="k-float"),
+    pytest.param('{"epsilon": "0.1"}', "epsilon must be a number", id="epsilon-string"),
+    pytest.param('{"k": true}', "k must be an integer", id="k-bool"),
+    pytest.param('{"k": ' + "[" * 100000 + "]" * 100000 + "}", "nested too deeply",
+                 id="nested-too-deeply"),
+])
+def test_run_rejects_ill_typed_config(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run_cli(*run_args(tmp_path, **{"--config": str(cfg)})) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_run_ngram_backend(tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("the cat sat\nthe dog ran\n")

@@ -1,0 +1,49 @@
+"""Every boundary value checks itself in its constructor: Python-built
+configs, models, tables and backends are refused as their loaders refuse
+the same values."""
+
+from __future__ import annotations
+
+import pytest
+
+from specsim.ngram import NgramModel, train_ngram
+from specsim.phrases import PhraseTable
+from specsim.predictor import NgramBackend, Prediction, ScriptedBackend
+from specsim.stream import EngineConfig
+
+
+def _model(order=2, alpha=0.1, vocab=("a",), counts=None):
+    return NgramModel(order, alpha, vocab, {(): {"a": 1}} if counts is None else counts)
+
+
+def _scripted(p=0.5, cont=("x",)):
+    return ScriptedBackend({("c", ()): [Prediction(cont, p, ("t",))]})
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: EngineConfig(k=1.5), id="config-k-float"),
+    pytest.param(lambda: EngineConfig(k=True), id="config-k-bool"),
+    pytest.param(lambda: EngineConfig(epsilon="0.1"), id="config-epsilon-string"),
+    pytest.param(lambda: EngineConfig(drift_window=2.5), id="config-drift-window-float"),
+    pytest.param(lambda: _model(counts={(): {"a": 1, "zz": 5}}), id="model-stray-count-token"),
+    pytest.param(lambda: _model(order=True), id="model-order-bool"),
+    pytest.param(lambda: _model(alpha=float("inf")), id="model-alpha-inf"),
+    pytest.param(lambda: _model(vocab=("a", "")), id="model-blank-vocab-token"),
+    pytest.param(lambda: _model(counts={(): {"a": -1}}), id="model-negative-count"),
+    pytest.param(lambda: PhraseTable().add(("a",), ("x", "")), id="phrase-blank-target-token"),
+    pytest.param(lambda: PhraseTable().add(("a", ""), ("x",)), id="phrase-blank-source-token"),
+    pytest.param(lambda: PhraseTable({("",): ("x",)}), id="phrase-blank-token-in-entries"),
+    pytest.param(lambda: _scripted(p=float("nan")), id="scripted-p-nan"),
+    pytest.param(lambda: _scripted(p=2.0), id="scripted-p-above-1"),
+    pytest.param(lambda: _scripted(cont=()), id="scripted-empty-continuation"),
+    pytest.param(lambda: NgramBackend(train_ngram([["a"]], 2), PhraseTable(), max_len=0),
+                 id="ngram-backend-max-len-0"),
+])
+def test_constructor_rejects(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_scripted_backend_names_the_bad_entry():
+    with pytest.raises(ValueError, match=r"context .c., prefix <empty>: prediction with probability nan"):
+        _scripted(p=float("nan"))

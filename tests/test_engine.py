@@ -103,9 +103,9 @@ def test_feed_rejects_final_event(shopping_backend, shopping_table):
 
 def test_single_certain_hypothesis_emits_without_divergence(shopping_table):
     from specsim.ngram import END
-    from specsim.predictor import Prediction, ScriptedBackend, prediction_set
-    backend = ScriptedBackend({("daily-life", ()): prediction_set(
-        [Prediction(("a", "b", END), 1.0, ("X", "Y"))])})
+    from specsim.predictor import Prediction, ScriptedBackend
+    backend = ScriptedBackend({("daily-life", ()):
+                               [Prediction(("a", "b", END), 1.0, ("X", "Y"))]})
     s = session_for(backend, shopping_table)
     out = feed(s, TokenEvent(0, "a", 0))
     assert kinds(out) == ["emit"]

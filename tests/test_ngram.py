@@ -177,6 +177,7 @@ def _model_json(**fields):
     pytest.param(_model_json(alpha=float("nan")), id="alpha-nan"),
     pytest.param(_model_json(alpha=False), id="alpha-bool"),
     pytest.param(_model_json(alpha="0.1"), id="alpha-string"),
+    pytest.param(_model_json(alpha=10 ** 400), id="alpha-huge-int"),
     pytest.param(_model_json(vocab="a"), id="vocab-string"),
     pytest.param(_model_json(vocab=["a", ""]), id="vocab-empty-token"),
     pytest.param(_model_json(vocab=["a", 1]), id="vocab-number"),

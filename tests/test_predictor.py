@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from specsim import predictor
+from specsim.engine import start_session
 from specsim.ngram import END, train_ngram
 from specsim.phrases import PhraseTable, PrefixView, StreamTranslation, translate
 from specsim.predictor import (NgramBackend, NoPrediction, Prediction,
-                               PredictionSet, RemoteBackend,
-                               load_scripted_fixture, predict, prediction_set)
-from specsim.stream import ContextDoc
+                               RemoteBackend, load_scripted_fixture, predict,
+                               prediction_set)
+from specsim.stream import ContextDoc, EngineConfig
 
 CTX = ContextDoc("daily-life")
 
@@ -27,15 +32,15 @@ def test_prediction_set_sorts_and_computes_residual():
     ])
     assert [pr.continuation[0] for pr in ps.items] == ["c", "a", "b"]
     assert ps.other_mass == pytest.approx(0.1, abs=1e-12)
-    assert ps.validate() == []
+    assert prediction_set(ps.items) == ps
 
 
 def test_prediction_set_validation_flags_problems():
-    ps = PredictionSet((Prediction(("a",), 0.9, ()), Prediction(("b",), 0.4, ())), -0.3)
-    bad = ps.validate()
-    assert any("sum" in msg for msg in bad)
-    assert any("other_mass" in msg for msg in bad)
-    assert PredictionSet((Prediction((), 0.5, ()),), 0.5).validate()
+    # an overweight set would leave a negative other_mass
+    with pytest.raises(ValueError, match="sum"):
+        prediction_set([Prediction(("a",), 0.9, ()), Prediction(("b",), 0.4, ())])
+    with pytest.raises(ValueError, match="continuation"):
+        prediction_set([Prediction((), 0.5, ())])
 
 
 def test_scripted_backend_shopping_prefix(shopping_backend):
@@ -99,12 +104,14 @@ def _fixture_with(item=None, rec=None):
     _fixture_with({"cont": ["x"], "p": True, "tr": ["t"]}),
     _fixture_with({"cont": ["x"], "p": "0.5", "tr": ["t"]}),
     "[" * 100_000 + "]" * 100_000,
+    _fixture_with(rec={"prefix": ["a"], "items": [{"cont": [1], "p": 0.5, "tr": []},
+                                                   {"cont": ["y"], "p": 0.5, "tr": []}]}),
 ], ids=["prefix-string", "prefix-blank-token", "items-object", "entry-list",
         "entries-object", "top-level-list", "cont-string", "tr-string",
         "cont-empty", "cont-blank-token", "tr-non-string", "tr-missing",
         "item-list", "p-nan", "p-inf", "p-above-1", "p-just-above-1",
         "p-huge-int", "p-zero", "p-negative", "p-bool", "p-string",
-        "nested-too-deeply"])
+        "nested-too-deeply", "cont-number-tied-with-token"])
 def test_fixture_rejects_bad_shape(text):
     with pytest.raises(ValueError):
         load_scripted_fixture(text)
@@ -192,7 +199,7 @@ def test_ngram_backend_never_raises_no_prediction():
     model = train_ngram([["a"]], 2)
     backend = NgramBackend(model, PhraseTable(), max_len=2)
     ps = backend.predict(CTX, ("zzz",), 3)
-    assert ps.items and ps.validate() == []
+    assert ps.items and prediction_set(ps.items) == ps
 
 
 # -- remote ------------------------------------------------------------------
@@ -251,6 +258,8 @@ def test_remote_overshoot_rescaled():
     {"items": [{"cont": ["x"], "p": "0.5", "tr": ["tx"]}]},
     {"items": [{"cont": ["x"], "p": True, "tr": ["tx"]}]},
     {"items": [{"cont": ["x"], "p": 10 ** 400, "tr": ["tx"]}]},
+    {"items": [{"cont": ["x"], "p": 5e-324, "tr": ["tx"]},  # rescaled to 0
+               {"cont": ["y"], "p": 2.0, "tr": ["ty"]}]},
     {"body": b"[" * 100000 + b"]" * 100000},
 ])
 def test_remote_failures_surface_as_no_prediction(kwargs):
@@ -304,4 +313,77 @@ def test_prediction_sets_always_valid_across_backends():
         prefix = tuple(rng.choice("ab") for _ in range(rng.randint(0, 4)))
         k = rng.randint(1, 5)
         ps = backend.predict(CTX, prefix, k)
-        assert ps.validate(k) == []
+        assert len(ps.items) <= k and prediction_set(ps.items) == ps
+
+
+# -- one check for every backend ---------------------------------------------
+
+
+def _verdict(build):
+    """The set build() returns, or None when it refuses the input."""
+    try:
+        return build()
+    except (ValueError, NoPrediction):
+        return None
+
+
+# p above 1 is left out: the remote backend rescales an overshoot by design.
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(st.floats(max_value=1.0) | st.sampled_from([math.nan, math.inf, 5e-324]),
+       st.lists(st.text(max_size=2), max_size=3))
+def test_loader_remote_and_prediction_set_agree(p, cont):
+    item = {"cont": cont, "p": p, "tr": ["t"]}
+    direct = _verdict(lambda: prediction_set([Prediction(tuple(cont), p, ("t",))]))
+    loaded = _verdict(lambda: load_scripted_fixture(_fixture_with(item)).predict(
+        ContextDoc("c"), ("a",), 4))
+    remote = _verdict(lambda: RemoteBackend(
+        "http://h:1", transport=fake_transport([item])).predict(CTX, (), 4))
+    assert loaded == direct and remote == direct
+    assert (direct is None) == (not (0 < p <= 1 and cont and all(cont)))
+
+
+def test_ngram_backend_drops_underflowed_continuations():
+    model = train_ngram([["a", "b"]], 2, alpha=1e-200)
+    assert any(p == 0.0 for _, p in model.continuations((), 12, 12))
+    backend = NgramBackend(model, PhraseTable(), max_len=12)
+    session = start_session(EngineConfig(k=12), CTX, backend, PhraseTable())
+    ps = backend.predict(CTX, (), 12)
+    assert ps.items and all(pr.p > 0 for pr in ps.items)
+    assert session.tree.leaves()
+
+
+def test_ngram_backend_memo_is_lru_bounded(monkeypatch):
+    monkeypatch.setattr(predictor, "ENUM_CACHE_SIZE", 8)
+    model = train_ngram([["a", "b"], ["b", "c"]], 2)
+    searched = []
+    search = model.continuations
+
+    def counted(prefix, k, max_len):
+        searched.append(prefix[-1])
+        return search(prefix, k, max_len)
+
+    monkeypatch.setattr(model, "continuations", counted)
+    backend = NgramBackend(model, PhraseTable(), max_len=3)
+    for i in range(100):  # distinct out-of-vocabulary histories
+        backend.predict(CTX, (f"w{i}",), 2)
+        backend.predict(CTX, ("a",), 2)  # kept recent, so never evicted
+        assert len(backend._enum_cache) <= 8
+    assert searched.count("a") == 1
+    backend.predict(CTX, ("w0",), 2)  # long evicted
+    assert searched.count("w0") == 2
+
+
+def test_ngram_backend_predictions_do_not_depend_on_memo_size(monkeypatch):
+    rng = random.Random(5)
+    vocab = ["a", "b", "c", "d"]
+    model = train_ngram([[rng.choice(vocab) for _ in range(rng.randint(1, 6))]
+                         for _ in range(8)], 3)
+    table = PhraseTable({("a", "b"): ("AB",)})
+    queries = [(tuple(rng.choice(vocab + ["zz"]) for _ in range(rng.randint(0, 5))),
+                rng.randint(1, 4)) for _ in range(200)]
+    unbounded = NgramBackend(model, table, max_len=4)
+    want = [unbounded.predict(CTX, prefix, k) for prefix, k in queries]
+    monkeypatch.setattr(predictor, "ENUM_CACHE_SIZE", 1)
+    bounded = NgramBackend(model, table, max_len=4)
+    assert [bounded.predict(CTX, prefix, k) for prefix, k in queries] == want
+    assert len(bounded._enum_cache) == 1

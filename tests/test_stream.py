@@ -1,4 +1,4 @@
-"""Transcript parsing, serialization round-trips, config validation."""
+"""Transcript parsing, serialization round-trips, config checks."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from specsim.stream import (EngineConfig, IndexGap, MalformedRecord,
                             MissingFinalMarker, NonMonotonicTime, TokenEvent,
                             Transcript, TranscriptError, config_from_json,
                             parse_transcript, serialize_transcript,
-                            transcript_from_tokens, validate_config)
+                            transcript_from_tokens)
 
 HEADER = '{"src":"ja","tgt":"en"}'
 
@@ -245,17 +245,30 @@ def test_transcript_from_tokens_builder():
         transcript_from_tokens([])
 
 
-def test_validate_config_defaults_ok():
-    assert validate_config(EngineConfig()) == []
+def test_engine_config_defaults_ok():
+    assert EngineConfig() == EngineConfig(4, 3, 0.05, 0.9, 8, 2.0, 16)
 
 
-def test_validate_config_reports_all_violations():
-    bad = validate_config(EngineConfig(epsilon=0.95, tau=0.9))
-    assert "epsilon < tau" in bad
-    bad = validate_config(EngineConfig(k=0))
-    assert "k >= 1" in bad
-    bad = validate_config(EngineConfig(k=0, d=0, epsilon=-1, drift_ratio=1.0))
+def _violations(**fields) -> list[str]:
+    with pytest.raises(ValueError) as exc:
+        EngineConfig(**fields)
+    msg = str(exc.value)
+    assert msg.startswith("invalid config: ")
+    return msg[len("invalid config: "):].split("; ")
+
+
+def test_engine_config_reports_all_violations():
+    assert "epsilon < tau" in _violations(epsilon=0.95, tau=0.9)
+    assert "k >= 1" in _violations(k=0)
+    bad = _violations(k=0, d=0, epsilon=-1, drift_ratio=1.0)
     assert {"k >= 1", "d >= 1", "epsilon > 0", "drift_ratio > 1"} <= set(bad)
+
+
+def test_engine_config_checks_types():
+    bad = _violations(k=1.5, d=True, epsilon="0.1", tau=float("nan"))
+    assert bad == ["k must be an integer, not 1.5", "d must be an integer, not True",
+                   "epsilon must be a number, not '0.1'", "tau <= 1"]
+    assert EngineConfig(tau=1, drift_ratio=3).drift_ratio == 3
 
 
 def test_config_from_json():
