@@ -175,19 +175,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="replay a transcript through a session")
+    # what a session is built from, shared by run and demo
+    session_opts = argparse.ArgumentParser(add_help=False)
+    session_opts.add_argument("--config")
+    session_opts.add_argument("--backend", required=True,
+                              choices=["scripted", "ngram", "remote"])
+    session_opts.add_argument("--fixtures", help="scripted prediction fixture (JSON)")
+    session_opts.add_argument("--model", help="trained n-gram model (JSON)")
+    session_opts.add_argument("--phrase-table", required=True)
+    session_opts.add_argument("--endpoint", help="remote predictor base URL")
+    session_opts.add_argument("--context", help="context token file (enables drift checks)")
+    session_opts.add_argument("--max-len", type=int, default=12,
+                              help="n-gram continuation horizon")
+
+    run = sub.add_parser("run", parents=[session_opts],
+                         help="replay a transcript through a session")
     run.add_argument("--transcript", required=True)
-    run.add_argument("--config")
-    run.add_argument("--backend", required=True, choices=["scripted", "ngram", "remote"])
-    run.add_argument("--fixtures", help="scripted prediction fixture (JSON)")
-    run.add_argument("--model", help="trained n-gram model (JSON)")
-    run.add_argument("--phrase-table", required=True)
-    run.add_argument("--endpoint", help="remote predictor base URL")
-    run.add_argument("--context", help="context token file (enables drift checks)")
     run.add_argument("--lag-profile", default="1",
                      help="per-tick delivery counts, e.g. 3 or 3,1 (then 1/tick)")
-    run.add_argument("--max-len", type=int, default=12,
-                     help="n-gram continuation horizon")
     run.add_argument("--out-events", help="event log output path (JSONL)")
     run.add_argument("--out-report", help="report output path (JSON)")
     run.set_defaults(func=cmd_run)
@@ -205,15 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--phrase-table", action="append")
     val.set_defaults(func=cmd_validate)
 
-    demo = sub.add_parser("demo", help="interactive typing demo")
-    demo.add_argument("--config")
-    demo.add_argument("--backend", required=True, choices=["scripted", "ngram", "remote"])
-    demo.add_argument("--fixtures")
-    demo.add_argument("--model")
-    demo.add_argument("--phrase-table", required=True)
-    demo.add_argument("--endpoint")
-    demo.add_argument("--context")
-    demo.add_argument("--max-len", type=int, default=12)
+    demo = sub.add_parser("demo", parents=[session_opts], help="interactive typing demo")
     demo.set_defaults(func=cmd_demo)
 
     return parser

@@ -6,6 +6,11 @@ re-prediction on the full observed prefix, buffer overflow triggers a direct
 catch-up translation, and a periodic perplexity check flags context drift.
 Emission is append-only: committed output is never retracted.
 
+`session.events` is the session's only record: each event is appended as
+it happens, `deliver`, `step`, `catchup` and `finalize` return the events
+they appended (the log's tail from the call's start), and the report
+derives every count from the log alone.
+
 One session is one logical execution stream and the one owner of its
 observed prefix: an append-only list that is also the source of the
 session's StreamTranslation. Backends and trees get O(1) PrefixView
@@ -64,15 +69,6 @@ class OutputEvent:
         return out
 
 
-@dataclass
-class Counters:
-    hits: int = 0
-    divergences: int = 0
-    conflicts: int = 0
-    catchups: int = 0
-    drift_events: int = 0
-
-
 class Session:
     """State for one utterance; see start_session."""
 
@@ -85,11 +81,9 @@ class Session:
         self.observed: list[str] = []
         self.stream = StreamTranslation(self.observed)
         self.delivered = 0
-        self.processed = 0
         self.buffer: deque[TokenEvent] = deque()
         self.template: TargetTemplate = all_hole_template()
         self.emitted: list[str] = []
-        self.counters = Counters()
         self.events: list[OutputEvent] = []
         self.aux: tuple[str, ...] | None = None
         self.last_t = 0
@@ -117,51 +111,54 @@ class Session:
             return None
         return ppl(self.context.body)
 
+    # -- delivery ----------------------------------------------------------
+
+    def _take(self, ev: TokenEvent):
+        if ev.index != self.delivered:
+            raise OutOfOrderToken(f"expected index {self.delivered}, got {ev.index}")
+        self.delivered += 1
+        self.buffer.append(ev)
+
     # -- emission ----------------------------------------------------------
 
-    def _emit(self, t_ms: int) -> list[OutputEvent]:
+    def _emit(self, t_ms: int):
         spans = idiom_spans(self.table, self.template.fixed_tokens())
         toks, self.template = emittable(self.template, spans)
-        if not toks:
-            return []
-        self.emitted.extend(toks)
-        return [OutputEvent("emit", t_ms, toks=toks, src_seen=self.delivered)]
+        if toks:
+            self.emitted.extend(toks)
+            self.events.append(OutputEvent("emit", t_ms, toks=toks,
+                                           src_seen=self.delivered))
 
-    def _commit(self, t_ms: int) -> list[OutputEvent]:
-        """Consensus over current hypotheses, refine, emit."""
-        events: list[OutputEvent] = []
-        hyps = leaf_hypotheses(self.tree)
-        fresh = consensus(hyps, self.config.tau)
+    def _refine(self, fresh: TargetTemplate, t_ms: int) -> bool:
+        """Refine the template by fresh, or log the conflict and return False."""
         merged = refine(self.template, fresh)
         if isinstance(merged, RevisionConflict):
-            self.counters.conflicts += 1
-            events.append(OutputEvent("conflict", t_ms, slot=merged.slot,
-                                      committed=merged.committed, got=merged.got))
-        else:
-            self.template = merged
-        events.extend(self._emit(t_ms))
+            self.events.append(OutputEvent("conflict", t_ms, slot=merged.slot,
+                                           committed=merged.committed, got=merged.got))
+            return False
+        self.template = merged
+        return True
+
+    def _commit(self, t_ms: int):
+        """Consensus over current hypotheses, refine, emit."""
+        self._refine(consensus(leaf_hypotheses(self.tree), self.config.tau), t_ms)
+        self._emit(t_ms)
         self._dirty = False
-        return events
 
     # -- per-event processing ----------------------------------------------
 
-    def _process(self, ev: TokenEvent) -> list[OutputEvent]:
-        token = ev.surface
-        t_ms = ev.t_ms
+    def _process(self, ev: TokenEvent):
+        token, t_ms = ev.surface, ev.t_ms
         self.last_t = t_ms
         self.observed.append(token)
-        self.processed += 1
-        events: list[OutputEvent] = []
 
         outcome = advance(self.tree, token)
         if outcome.diverged:
-            self.counters.divergences += 1
-            events.append(OutputEvent("diverge", t_ms))
-            events.append(OutputEvent("repredict", t_ms))
+            self.events.append(OutputEvent("diverge", t_ms))
+            self.events.append(OutputEvent("repredict", t_ms))
             self.tree = self._predict_tree()
             self._dirty = True
         else:
-            self.counters.hits += 1
             if outcome.changed:
                 self._dirty = True
             leaves = expandable_leaves(self.tree, self.config.d)
@@ -169,28 +166,25 @@ class Session:
                 prefix = self._view()  # what every expandable leaf has consumed
                 for leaf in leaves:
                     if expand(self.tree, leaf, self.backend, self.context, prefix,
-                              self.config.k, self.aux, max_depth=self.config.d):
+                              self.config.k, self.aux):
                         self._dirty = True
             if prune(self.tree, self.config.epsilon, self.config.k):
                 self._dirty = True
 
         if self._dirty:
-            events.extend(self._commit(t_ms))
-        events.extend(self._drift_check(t_ms))
-        self.events.extend(events)
-        return events
+            self._commit(t_ms)
+        self._drift_check(t_ms)
 
-    def _drift_check(self, t_ms: int) -> list[OutputEvent]:
+    def _drift_check(self, t_ms: int):
         cfg = self.config
-        if self.processed % cfg.drift_window != 0 or self._baseline_ppl is None:
-            return []
+        if len(self.observed) % cfg.drift_window != 0 or self._baseline_ppl is None:
+            return
         window = tuple(self.observed[-cfg.drift_window:])
         ppl = self.backend.perplexity(window)  # type: ignore[attr-defined]
         if ppl / self._baseline_ppl <= cfg.drift_ratio:
-            return []
-        self.counters.drift_events += 1
+            return
         self.aux = window
-        return [OutputEvent("context_shift", t_ms)]
+        self.events.append(OutputEvent("context_shift", t_ms))
 
 
 def start_session(config: EngineConfig, context: ContextDoc, backend: Backend,
@@ -205,29 +199,27 @@ def deliver(session: Session, ev: TokenEvent) -> list[OutputEvent]:
         raise ValueError("session already finalized")
     if ev.is_final:
         raise ValueError("final event must go to finalize()")
-    if ev.index != session.delivered:
-        raise OutOfOrderToken(f"expected index {session.delivered}, got {ev.index}")
-    session.delivered += 1
+    n = len(session.events)
+    session._take(ev)
     session.last_t = ev.t_ms
-    session.buffer.append(ev)
     if len(session.buffer) > session.config.buffer_limit:
-        return catchup(session)
-    return []
+        catchup(session)
+    return session.events[n:]
 
 
 def step(session: Session) -> list[OutputEvent]:
     """Process the oldest buffered event, if any."""
     if not session.buffer:
         return []
-    return session._process(session.buffer.popleft())
+    n = len(session.events)
+    session._process(session.buffer.popleft())
+    return session.events[n:]
 
 
 def feed(session: Session, ev: TokenEvent) -> list[OutputEvent]:
-    """Deliver one event and process one buffered event (the standard path)."""
-    events = deliver(session, ev)
-    if any(e.kind == "catchup" for e in events):
-        return events
-    return events + step(session)
+    """Deliver one event and process one buffered event (the standard path).
+    After a catch-up the buffer is empty, so step adds nothing."""
+    return deliver(session, ev) + step(session)
 
 
 def catchup(session: Session) -> list[OutputEvent]:
@@ -235,22 +227,18 @@ def catchup(session: Session) -> list[OutputEvent]:
     commit it into the hole, re-anchor the tree at the new full prefix."""
     if not session.buffer:
         raise ValueError("catch-up requires a non-empty buffer")
-    drained = list(session.buffer)
+    n = len(session.events)
+    span = [ev.surface for ev in session.buffer]
+    t_ms = session.last_t = session.buffer[-1].t_ms
     session.buffer.clear()
-    span = [ev.surface for ev in drained]
-    t_ms = drained[-1].t_ms
-    session.last_t = t_ms
     session.observed.extend(span)
-    session.processed += len(span)
-    session.counters.catchups += 1
-    events = [OutputEvent("catchup", t_ms, span=len(span))]
+    session.events.append(OutputEvent("catchup", t_ms, span=len(span)))
     session.template = extend_into_hole(session.template,
                                         translate(session.table, span))
-    events.extend(session._emit(t_ms))
+    session._emit(t_ms)
     session.tree = session._predict_tree()
     session._dirty = True
-    session.events.extend(events)
-    return events
+    return session.events[n:]
 
 
 def finalize(session: Session, ev: TokenEvent | None = None,
@@ -266,48 +254,33 @@ def finalize(session: Session, ev: TokenEvent | None = None,
     """
     if session.finalized:
         raise ValueError("session already finalized")
-    events: list[OutputEvent] = []
+    n = len(session.events)
     if ev is not None:
         if not ev.is_final:
             raise ValueError("finalize requires the final event")
-        if ev.index != session.delivered:
-            raise OutOfOrderToken(f"expected index {session.delivered}, got {ev.index}")
-        session.delivered += 1
-        session.buffer.append(ev)
+        session._take(ev)
     while session.buffer:
-        events.extend(session._process(session.buffer.popleft()))
+        session._process(session.buffer.popleft())
 
     t_ms = session.last_t
-    final_tr = _consistent_translation(session)
-    if final_tr is None:
-        final_tr = session.stream.finish(session.table)
-    merged = refine(session.template, fixed_template(final_tr))
-    if isinstance(merged, RevisionConflict):
-        session.counters.conflicts += 1
-        conflict_ev = OutputEvent("conflict", t_ms, slot=merged.slot,
-                                  committed=merged.committed, got=merged.got)
-        events.append(conflict_ev)
-        session.events.append(conflict_ev)
+    final_tr = _final_translation(session)
+    if not session._refine(fixed_template(final_tr), t_ms):
         session.template = resolve_with(session.template, final_tr)
-    else:
-        session.template = merged
-    tail = session._emit(t_ms)
-    events.extend(tail)
-    session.events.extend(tail)
+    session._emit(t_ms)
     session.finalized = True
     report = compute_report(session.events, session.delivered, reference)
-    return events, report
+    return session.events[n:], report
 
 
-def _consistent_translation(session: Session) -> tuple[str, ...] | None:
-    """Translation of the best surviving terminal leaf with everything consumed."""
+def _final_translation(session: Session) -> tuple[str, ...]:
+    """Translation of the best surviving terminal leaf with everything
+    consumed, else the direct translation of the observed source."""
     best: tuple[float, tuple[str, ...]] | None = None
     for node in session.tree.leaves():
-        if node.is_other or not node.terminal or not node.consumed:
-            continue
-        if node.translation is None:
+        if (node.is_other or not node.terminal or not node.consumed
+                or node.translation is None):
             continue
         key = (-node.path_p, node.translation)
         if best is None or key < best:
             best = key
-    return best[1] if best is not None else None
+    return best[1] if best is not None else session.stream.finish(session.table)

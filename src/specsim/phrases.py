@@ -40,7 +40,8 @@ class PhraseTable:
                 self.add(src, tgt, atomic=tuple(src) in atomic_keys)
 
     def add(self, source: Sequence[str], target: Sequence[str], atomic: bool = False):
-        """Add or replace an entry; ValueError on an empty source or a blank token."""
+        """Add or replace an entry, atomic or not as this call says; ValueError
+        on an empty source or a blank token."""
         src, tgt = tuple(source), tuple(target)
         if not src:
             raise ValueError("empty source key")
@@ -49,6 +50,8 @@ class PhraseTable:
         self._entries[src] = tgt
         if atomic:
             self._atomic.add(src)
+        else:
+            self._atomic.discard(src)
         lens = self._by_first.setdefault(src[0], [])
         if len(src) not in lens:
             lens.append(len(src))
@@ -129,7 +132,8 @@ def idiom_spans(table: PhraseTable, target: Sequence[str]) -> list[IdiomSpan]:
 
 
 def parse_phrase_table(text: str) -> PhraseTable:
-    """Tab-separated entries: `source tokens<TAB>target tokens[<TAB>atomic]`."""
+    """Tab-separated entries: `source tokens<TAB>target tokens[<TAB>atomic]`;
+    a source may appear on one line only."""
     table = PhraseTable()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip("\n")
@@ -144,8 +148,12 @@ def parse_phrase_table(text: str) -> PhraseTable:
             if flag and flag != "atomic":
                 raise ValueError(f"line {lineno}: unknown flag {flag!r}")
             atomic = flag == "atomic"
+        source = tuple(parts[0].split())
+        if source in table._entries:
+            raise ValueError(f"line {lineno}: duplicate entry for source "
+                             f"{' '.join(source)!r}")
         try:
-            table.add(parts[0].split(), parts[1].split(), atomic=atomic)
+            table.add(source, parts[1].split(), atomic=atomic)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return table

@@ -99,7 +99,6 @@ class MatchOutcome:
     """Result of advancing one observed token."""
 
     diverged: bool
-    named_leaves: int
     changed: bool  # any subtree removed or masses renormalized
 
 
@@ -161,11 +160,10 @@ def advance(tree: PredictionTree, token: str) -> MatchOutcome:
         removed = True
     tree.root.children = kept
 
-    named = sum(1 for n in tree.leaves() if not n.is_other)
-    if named == 0:
+    if all(n.is_other for n in tree.leaves()):
         tree.root = TreeNode(False, (), 1.0, None, False, 0)
         tree.root.children = [_other(1.0, 1)]
-        return MatchOutcome(True, 0, True)
+        return MatchOutcome(True, True)
 
     s = tree.total_mass()
     scaled = abs(s - 1.0) > _RENORM_SKIP
@@ -174,25 +172,22 @@ def advance(tree: PredictionTree, token: str) -> MatchOutcome:
         for n in tree.walk():
             n.path_p *= inv
         tree.root.path_p = 1.0
-    return MatchOutcome(False, named, removed or scaled)
+    return MatchOutcome(False, removed or scaled)
 
 
 def expand(tree: PredictionTree, node: TreeNode, backend: Backend,
            context: ContextDoc, prefix: Sequence[str], k: int,
-           aux: Sequence[str] | None = None, max_depth: int | None = None) -> bool:
+           aux: Sequence[str] | None = None) -> bool:
     """Grow children under a fully consumed named leaf via the backend.
 
     prefix is the source the node's hypothesis has consumed, which the
     caller knows: a leaf that survived every advance since the tree was
     built has consumed exactly the tokens observed since the anchor, so for
-    the session it is its whole observed prefix. No-op at the depth cap
-    (node.depth is the expansion round that created it). NoPrediction
-    degrades to an other-only expansion carrying the full node mass.
-    Returns whether the tree changed.
+    the session it is its whole observed prefix. The caller applies the
+    depth cap. NoPrediction degrades to an other-only expansion carrying the
+    full node mass. Returns whether the tree changed.
     """
     if node.is_other or node.children or not node.consumed or node.terminal:
-        return False
-    if max_depth is not None and node.depth >= max_depth:
         return False
     try:
         ps = backend.predict(context, prefix, k, aux)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from specsim.cli import main
+from specsim.cli import build_parser, main
 from specsim.ngram import NgramModel
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -296,3 +296,18 @@ def test_demo_unknown_tokens_with_ngram_backend(tmp_path):
         input="zzz qqq\n\n", capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "final:" in proc.stdout
+
+
+def test_run_and_demo_share_the_session_options():
+    shared = ["--config", "c.json", "--backend", "ngram", "--fixtures", "f.json",
+              "--model", "m.json", "--phrase-table", "p.tsv", "--endpoint", "e",
+              "--context", "ctx.txt", "--max-len", "5"]
+    names = ("config", "backend", "fixtures", "model", "phrase_table", "endpoint",
+             "context", "max_len")
+    parser = build_parser()
+    run = parser.parse_args(["run", "--transcript", "t.jsonl"] + shared)
+    demo = parser.parse_args(["demo"] + shared)
+    assert [getattr(run, n) for n in names] == [getattr(demo, n) for n in names] == [
+        "c.json", "ngram", "f.json", "m.json", "p.tsv", "e", "ctx.txt", 5]
+    assert parser.parse_args(["demo", "--backend", "scripted",
+                              "--phrase-table", "p.tsv"]).max_len == 12

