@@ -20,8 +20,8 @@ from .stream import (ContextDoc, EngineConfig, IndexGap, MalformedRecord,
                      MissingFinalMarker, NonMonotonicTime, TokenEvent,
                      Transcript, parse_transcript, serialize_transcript,
                      transcript_from_tokens)
-from .template import (Hole, RevisionConflict, TargetTemplate, consensus,
-                       emittable, refine)
+from .template import (RevisionConflict, TargetTemplate, consensus, emittable,
+                       refine)
 from .tree import (MatchOutcome, PredictionTree, TreeNode, advance, build_tree,
                    expand, leaf_hypotheses, prune)
 
@@ -47,8 +47,7 @@ __all__ = [
     "PredictionTree", "TreeNode", "MatchOutcome", "build_tree", "advance",
     "expand", "prune", "leaf_hypotheses",
     # template
-    "TargetTemplate", "Hole", "RevisionConflict", "consensus", "refine",
-    "emittable",
+    "TargetTemplate", "RevisionConflict", "consensus", "refine", "emittable",
     # engine / replay
     "Session", "OutputEvent", "OutOfOrderToken", "start_session", "feed",
     "deliver", "step", "catchup", "finalize", "replay", "parse_lag_profile",

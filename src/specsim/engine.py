@@ -123,7 +123,7 @@ class Session:
 
     def _emit(self, t_ms: int):
         spans = idiom_spans(self.table, self.template.fixed_tokens())
-        toks, self.template = emittable(self.template, spans)
+        toks = emittable(self.template, spans, len(self.emitted))
         if toks:
             self.emitted.extend(toks)
             self.events.append(OutputEvent("emit", t_ms, toks=toks,

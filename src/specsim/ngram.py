@@ -214,5 +214,5 @@ def train_ngram(corpus: Sequence[Sequence[str]], order: int,
 
 
 def parse_corpus(text: str) -> list[list[str]]:
-    """One sentence of whitespace-separated tokens per line; blank lines skipped."""
-    return [line.split() for line in text.splitlines() if line.strip()]
+    """One sentence of tokens per line (lines end at "\n" only); blank lines skipped."""
+    return [line.split() for line in text.split("\n") if line.strip()]

@@ -133,10 +133,10 @@ def idiom_spans(table: PhraseTable, target: Sequence[str]) -> list[IdiomSpan]:
 
 def parse_phrase_table(text: str) -> PhraseTable:
     """Tab-separated entries: `source tokens<TAB>target tokens[<TAB>atomic]`;
-    a source may appear on one line only."""
+    a source may appear on one line only. Lines end at "\n" only, so line
+    numbers count as an editor counts them; a CR before it is whitespace."""
     table = PhraseTable()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")

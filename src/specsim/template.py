@@ -1,10 +1,12 @@
 """Committed target output: mass-weighted consensus templates with holes.
 
-A template is the engine's monotonic-commitment state: an ordered run of
-Fixed tokens and at most one Hole (the undetermined middle). Consensus over
-a tau-mass cover of hypotheses commits their longest common prefix and
-suffix; refinement only ever grows the committed material, and emission is
-append-only with idiom spans kept atomic.
+A template is the engine's monotonic-commitment state: a committed prefix,
+then optionally the hole (the undetermined middle) and a committed suffix.
+Consensus over a tau-mass cover of hypotheses commits their longest common
+prefix and suffix; refinement only ever grows the committed material, and
+emission is append-only, reads the prefix only and keeps idiom spans atomic.
+The session's emitted tokens are the one record of how far emission has
+got. A conflict's slot number counts the hole as one slot.
 
 Templates are immutable values; the owning session swaps them atomically.
 """
@@ -21,13 +23,11 @@ _TAU_SLACK = 1e-9  # mass sums land within an ulp of the threshold
 
 
 @dataclass(frozen=True, slots=True)
-class Hole:
-    """The undetermined middle of a template; a template holds at most one."""
-
-
-@dataclass(frozen=True, slots=True)
 class RevisionConflict:
-    """A fresh template contradicted an already committed Fixed slot."""
+    """A fresh template contradicted an already committed token.
+
+    `slot` indexes `TargetTemplate.slots`, where the hole counts as one slot.
+    """
 
     slot: int
     committed: str | None
@@ -36,37 +36,34 @@ class RevisionConflict:
 
 @dataclass(frozen=True, slots=True)
 class TargetTemplate:
-    """Fixed tokens and at most one Hole; emit_ptr marks what was emitted."""
+    """A committed `prefix`, then the hole and a committed `suffix`; a
+    `suffix` of None means the template is complete, with no hole. `slots`
+    renders it one slot per token with the hole as one None slot, and a
+    RevisionConflict's `slot` indexes that rendering."""
 
-    slots: tuple[object, ...]
-    emit_ptr: int = 0
+    prefix: tuple[str, ...]
+    suffix: tuple[str, ...] | None = None
 
-    def hole_index(self) -> int | None:
-        for i, s in enumerate(self.slots):
-            if isinstance(s, Hole):
-                return i
-        return None
-
-    def parts(self) -> tuple[tuple[str, ...], bool, tuple[str, ...]]:
-        """(fixed prefix, has hole, fixed suffix); suffix empty without a hole."""
-        i = self.hole_index()
-        if i is None:
-            return tuple(self.slots), False, ()
-        return tuple(self.slots[:i]), True, tuple(self.slots[i + 1:])
+    @property
+    def slots(self) -> tuple[str | None, ...]:
+        """The committed tokens in order, with None for the hole."""
+        if self.suffix is None:
+            return self.prefix
+        return self.prefix + (None,) + self.suffix
 
     def fixed_tokens(self) -> tuple[str, ...]:
-        """All Fixed tokens in order, holes skipped (the idiom-scan rendering)."""
-        return tuple(s for s in self.slots if not isinstance(s, Hole))
+        """The committed tokens in order, the hole skipped (the idiom scan reads it)."""
+        return self.prefix if self.suffix is None else self.prefix + self.suffix
 
     def render(self) -> str:
-        return " ".join("[*]" if isinstance(s, Hole) else s for s in self.slots)
+        return " ".join("[*]" if s is None else s for s in self.slots)
 
     def complete(self) -> bool:
-        return self.hole_index() is None
+        return self.suffix is None
 
 
 def all_hole_template() -> TargetTemplate:
-    return TargetTemplate((Hole(),))
+    return TargetTemplate((), ())
 
 
 def fixed_template(tokens: Sequence[str]) -> TargetTemplate:
@@ -78,10 +75,10 @@ def consensus(hyps: Sequence[tuple[Sequence[str], float]], tau: float) -> Target
 
     Takes hypotheses sorted by mass descending; uses the smallest prefix of
     them whose cumulative mass reaches tau. The template is their longest
-    common prefix, one Hole, and their longest common suffix; the suffix is
+    common prefix, the hole, and their longest common suffix; the suffix is
     truncated if prefix and suffix would overlap inside any cover member
     (the prefix wins, being emittable earliest). Identical cover members
-    commit fully with no Hole. Below-tau total commits nothing.
+    commit fully with no hole. Below-tau total commits nothing.
     """
     cover: list[Sequence[str]] = []
     cum = 0.0
@@ -93,31 +90,30 @@ def consensus(hyps: Sequence[tuple[Sequence[str], float]], tau: float) -> Target
     else:
         return all_hole_template()
 
-    first = cover[0]
-    if all(tuple(h) == tuple(first) for h in cover[1:]):
-        return fixed_template(first)
+    first = tuple(cover[0])
+    if all(tuple(h) == first for h in cover[1:]):
+        return TargetTemplate(first)
     p = min(len(first), *(common_prefix_len(first, h) for h in cover[1:]))
     s = min(len(first), *(common_suffix_len(first, h) for h in cover[1:]))
     shortest = min(len(h) for h in cover)
     if p + s > shortest:
         s = shortest - p
-    slots = tuple(first[:p]) + (Hole(),) + (tuple(first[len(first) - s:]) if s else ())
-    return TargetTemplate(slots)
+    return TargetTemplate(first[:p], first[len(first) - s:])
 
 
 def refine(committed: TargetTemplate,
            fresh: TargetTemplate) -> TargetTemplate | RevisionConflict:
     """Merge a fresh consensus into the committed template.
 
-    Committed Fixed slots are immutable; the committed Hole absorbs whatever
+    Committed tokens are immutable; the committed hole absorbs whatever
     fresh pins down around it. Any contradiction returns a RevisionConflict
     and leaves the committed template untouched.
     """
-    pre_c, hole_c, suf_c = committed.parts()
-    pre_f, hole_f, suf_f = fresh.parts()
+    pre_c, suf_c = committed.prefix, committed.suffix
+    pre_f, suf_f = fresh.prefix, fresh.suffix
 
-    if not hole_c:
-        if not hole_f:
+    if suf_c is None:
+        if suf_f is None:
             if pre_f == pre_c:
                 return committed
             return _first_diff_conflict(pre_c, pre_f)
@@ -127,7 +123,7 @@ def refine(committed: TargetTemplate,
             return _fresh_vs_complete_conflict(pre_c, pre_f, suf_f)
         return committed
 
-    if not hole_f:
+    if suf_f is None:
         full = pre_f
         m = common_prefix_len(pre_c, full)
         if m < len(pre_c):
@@ -140,7 +136,7 @@ def refine(committed: TargetTemplate,
                                     full[got_i] if got_i >= 0 else None)
         if len(full) < len(pre_c) + len(suf_c):
             return RevisionConflict(len(pre_c), suf_c[0] if suf_c else None, None)
-        return TargetTemplate(tuple(full), committed.emit_ptr)
+        return fresh
 
     m = common_prefix_len(pre_c, pre_f)
     if m < min(len(pre_c), len(pre_f)):
@@ -150,11 +146,9 @@ def refine(committed: TargetTemplate,
         off = len(suf_c) - 1 - s
         return RevisionConflict(len(pre_c) + 1 + off, suf_c[off],
                                 suf_f[len(suf_f) - 1 - s])
-    new_pre = pre_f if len(pre_f) > len(pre_c) else pre_c
-    new_suf = suf_f if len(suf_f) > len(suf_c) else suf_c
-    if new_pre == pre_c and new_suf == suf_c:
+    if len(pre_f) <= len(pre_c) and len(suf_f) <= len(suf_c):
         return committed
-    return TargetTemplate(new_pre + (Hole(),) + new_suf, committed.emit_ptr)
+    return TargetTemplate(max(pre_c, pre_f, key=len), max(suf_c, suf_f, key=len))
 
 
 def _first_diff_conflict(a: tuple[str, ...], b: tuple[str, ...]) -> RevisionConflict:
@@ -186,47 +180,36 @@ def extend_into_hole(committed: TargetTemplate,
     """
     if not tokens:
         return committed
-    i = committed.hole_index()
-    toks = tuple(tokens)
-    if i is None:
-        slots = committed.slots + toks
-    else:
-        slots = committed.slots[:i] + toks + committed.slots[i:]
-    return TargetTemplate(slots, committed.emit_ptr)
+    return TargetTemplate(committed.prefix + tuple(tokens), committed.suffix)
 
 
 def resolve_with(committed: TargetTemplate,
                  final: Sequence[str]) -> TargetTemplate:
     """Force-complete after a final-translation conflict: fill the hole from
     the aligned middle when the committed prefix agrees, else drop the hole.
-    Committed slots are never altered."""
-    pre, has_hole, suf = committed.parts()
-    if not has_hole:
+    Committed tokens are never altered."""
+    pre, suf = committed.prefix, committed.suffix
+    if suf is None:
         return committed
     final = tuple(final)
-    if common_prefix_len(final, pre) == len(pre) and len(final) >= len(pre):
+    if common_prefix_len(final, pre) == len(pre):
         middle = final[len(pre):max(len(pre), len(final) - len(suf))]
     else:
         middle = ()
-    return TargetTemplate(pre + middle + suf, committed.emit_ptr)
+    return TargetTemplate(pre + middle + suf)
 
 
-def emittable(template: TargetTemplate,
-              idioms: Sequence[IdiomSpan]) -> tuple[tuple[str, ...], TargetTemplate]:
-    """Maximal emission from emit_ptr: stop before the first Hole, never end
-    strictly inside an idiom span.
+def emittable(template: TargetTemplate, idioms: Sequence[IdiomSpan],
+              start: int) -> tuple[str, ...]:
+    """The committed prefix from `start` on, never ending strictly inside an
+    idiom span.
 
-    Idiom spans are indexed over the template's Fixed-token rendering (holes
-    skipped), so a span straddling the hole boundary holds emission back
-    until the hole resolves. Returns the tokens and the advanced template.
+    Idiom spans are indexed over `fixed_tokens()` (the hole skipped), so a
+    span straddling the hole boundary holds emission back until the hole
+    resolves.
     """
-    hole = template.hole_index()
-    end = hole if hole is not None else len(template.slots)
+    end = len(template.prefix)
     for span in sorted(idioms, key=lambda s: s.start, reverse=True):
         if span.start < end < span.end:
             end = span.start
-    if end <= template.emit_ptr:
-        return (), template
-    toks = tuple(template.slots[template.emit_ptr:end])
-    advanced = TargetTemplate(template.slots, end)
-    return toks, advanced
+    return template.prefix[start:end]

@@ -11,7 +11,7 @@ import itertools
 import math
 
 from specsim.ngram import END
-from specsim.template import Hole, TargetTemplate
+from specsim.template import TargetTemplate
 
 
 def classic_levenshtein(a, b) -> int:
@@ -37,7 +37,7 @@ def consensus_oracle(hyps, tau) -> TargetTemplate:
         if cum >= tau - 1e-9:
             break
     else:
-        return TargetTemplate((Hole(),))
+        return TargetTemplate((), ())
     if all(h == cover[0] for h in cover):
         return TargetTemplate(tuple(cover[0]))
     shortest = min(len(h) for h in cover)
@@ -51,8 +51,7 @@ def consensus_oracle(hyps, tau) -> TargetTemplate:
     if p + s > shortest:
         s = shortest - p
     first = cover[0]
-    slots = tuple(first[:p]) + (Hole(),) + (tuple(first[len(first) - s:]) if s else ())
-    return TargetTemplate(slots)
+    return TargetTemplate(tuple(first[:p]), tuple(first[len(first) - s:]))
 
 
 def enumerate_continuations(model, prefix, k, max_len):

@@ -6,6 +6,7 @@ criterion.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 
@@ -22,7 +23,7 @@ from specsim.template import consensus
 from specsim.tree import advance, build_tree, leaf_hypotheses
 
 import test_tree
-from conftest import make_scenario
+from conftest import make_scenario, random_config
 from oracles import consensus_oracle, enumerate_continuations, tree_survivor_oracle
 
 MASS_TOL = 1e-9
@@ -116,7 +117,7 @@ def test_c4_consensus_oracle_equivalence_1000_sets():
               mass * scale) for mass in raw),
             key=lambda h: (-h[1], h[0]))
         tau = rng.choice([0.5, 0.7, 0.9, 0.95])
-        assert consensus(hyps, tau).slots == consensus_oracle(hyps, tau).slots
+        assert consensus(hyps, tau) == consensus_oracle(hyps, tau)
     report_line("C4", "consensus equals the brute-force prefix/suffix oracle "
                       "on 1000 random hypothesis sets")
 
@@ -225,3 +226,24 @@ def test_c9_determinism_and_throughput():
     assert min(elapsed) < 5.0, f"10k-token replay took {min(elapsed):.2f}s"
     report_line("C9", f"byte-identical logs; 10k tokens in {min(elapsed):.2f}s "
                       f"(budget 5s)")
+
+
+# sha256 over 300 seeded burst-lag replays; they hold 138 catch-ups and 83
+# conflicts, so the digest also pins every conflict's slot number
+SCENARIO_GOLDEN = "a2a27ccad7c21f01e1760869db2d473674e407eb67478cc63c676185844dd3bc"
+
+
+def test_scripted_scenarios_replay_to_the_golden_digest():
+    digest = hashlib.sha256()
+    for seed in range(300):
+        rng = random.Random(seed)
+        transcript, backend, table, ctx = make_scenario(rng)
+        cfg = random_config(rng)
+        profile = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 4))) or (1,)
+        events, report = replay(transcript, start_session(cfg, ctx, backend, table),
+                                profile)
+        digest.update(events_to_jsonl(events).encode("utf-8"))
+        digest.update(report.to_json().encode("utf-8"))
+    assert digest.hexdigest() == SCENARIO_GOLDEN
+    report_line("golden", "300 seeded burst-lag scenario replays match the "
+                          "pinned sha256")

@@ -296,37 +296,84 @@ def test_final_output_oracle_after_divergence():
     assert checked > 30  # the scenario generator must actually exercise this
 
 
-@settings(derandomize=True, max_examples=60, database=None, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), burst=st.integers(2, 5),
-       rest=st.lists(st.integers(1, 4), max_size=3))
-def test_calls_return_the_log_tail_and_the_report_reads_the_log(seed, burst, rest):
-    rng = random.Random(seed)
-    transcript, backend, table, ctx = make_scenario(rng)
-    session = start_session(random_config(rng), ctx, backend, table)
-    profile = (burst, *rest)
+def replay_ticks(session, transcript, profile):
+    """replay(), one tick at a time: yields each tick's returned events with
+    None, and the last tick's with the report."""
     queue = iter(transcript.events)
-    returned: list = []
-    seen: list[str] = []
-    report = None
     tick = 0
-    while report is None:  # replay(), one tick at a time
+    while True:
+        returned = []
         for _ in range(profile[tick] if tick < len(profile) else 1):
             ev = next(queue)
             if ev.is_final:
                 fin, report = finalize(session, ev, transcript.reference)
-                returned.extend(fin)
-                break
+                yield returned + fin, report
+                return
             returned.extend(deliver(session, ev))
-        else:
-            returned.extend(step(session))
+        yield returned + step(session), None
+        tick += 1
+
+
+BURST_SCENARIOS = dict(seed=st.integers(0, 2**32 - 1), burst=st.integers(2, 5),
+                       rest=st.lists(st.integers(1, 4), max_size=3))
+
+
+@settings(derandomize=True, max_examples=60, database=None, deadline=None)
+@given(**BURST_SCENARIOS)
+def test_calls_return_the_log_tail_and_the_report_reads_the_log(seed, burst, rest):
+    rng = random.Random(seed)
+    transcript, backend, table, ctx = make_scenario(rng)
+    session = start_session(random_config(rng), ctx, backend, table)
+    returned: list = []
+    seen: list[str] = []
+    for events, report in replay_ticks(session, transcript, (burst, *rest)):
+        returned.extend(events)
         assert session.emitted[:len(seen)] == seen  # emission is append-only
         seen = list(session.emitted)
-        tick += 1
     assert returned == session.events
     assert report == compute_report(session.events, session.delivered,
                                     transcript.reference)
     assert session.emitted == [t for ev in session.events if ev.kind == "emit"
                                for t in ev.toks]
+
+
+def check_committed_slots_kept(session, transcript, profile):
+    """After every tick: the prefix only grows; a hole's suffix stays at the
+    end; a complete template stays complete; emission reads the prefix."""
+    old = session.template
+    for _ in replay_ticks(session, transcript, profile):
+        new = session.template
+        assert new.prefix[:len(old.prefix)] == old.prefix
+        if old.suffix is None:
+            assert new.suffix is None  # complete stays complete, grows at its end
+        else:
+            tail = new.prefix if new.suffix is None else new.suffix
+            assert tail[len(tail) - len(old.suffix):] == old.suffix
+            # the committed prefix and suffix never overlap
+            assert (len(new.prefix) + len(new.suffix or ())
+                    >= len(old.prefix) + len(old.suffix))
+        assert session.emitted == list(new.prefix[:len(session.emitted)])
+        old = new
+
+
+@settings(derandomize=True, max_examples=60, database=None, deadline=None)
+@given(**BURST_SCENARIOS)
+def test_a_committed_slot_never_changes(seed, burst, rest):
+    rng = random.Random(seed)
+    transcript, backend, table, ctx = make_scenario(rng)
+    session = start_session(random_config(rng), ctx, backend, table)
+    check_committed_slots_kept(session, transcript, (burst, *rest))
+
+
+@pytest.mark.parametrize("buffer_limit", [2, 6])
+@pytest.mark.parametrize("profile", [(1,), (3,), (5,), (2, 3, 1)])
+def test_a_committed_slot_never_changes_shopping(shopping_backend, shopping_table,
+                                                 shopping_transcript, buffer_limit,
+                                                 profile):
+    # the scripted scenarios rarely commit a suffix; this fixture commits
+    # "with my friend" before its hole resolves
+    session = session_for(shopping_backend, shopping_table, buffer_limit=buffer_limit)
+    check_committed_slots_kept(session, shopping_transcript, profile)
 
 
 def test_divergence_soundness_events_match_counters():

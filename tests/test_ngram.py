@@ -197,6 +197,13 @@ def test_model_json_rejects_bad_shapes(text):
 
 def test_parse_corpus():
     assert parse_corpus("a b\n\nc\n") == [["a", "b"], ["c"]]
+    assert parse_corpus("a b\r\n\r\nc\r\n") == [["a", "b"], ["c"]]
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+def test_parse_corpus_splits_sentences_at_newline_only(sep):
+    # a separator str.splitlines breaks at would add a </s> and a <s>
+    assert parse_corpus(f"a b{sep}c d\n") == [["a", "b", "c", "d"]]
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])

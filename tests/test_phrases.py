@@ -103,6 +103,24 @@ def test_parse_phrase_table_refuses_repeated_source():
         parse_phrase_table("a  b\tX\na b\tY\n")  # same tokens, other spacing
 
 
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                 "\x85", "\u2028", "\u2029"])
+def test_parse_phrase_table_splits_lines_at_newline_only(sep):
+    # str.splitlines would end a line at each of these; they are whitespace
+    t = parse_phrase_table(f"a{sep}b\tX\n")
+    assert translate(t, ["a", "b"]) == ("X",)
+    with pytest.raises(ValueError, match="^line 2: expected 2 or 3"):
+        parse_phrase_table(f"c\tY{sep}Z\nbad\n")
+
+
+def test_parse_phrase_table_reads_crlf_files():
+    t = parse_phrase_table("a b\tX Y\r\nc\tZ\tatomic\r\n# note\r\n\r\n")
+    assert translate(t, ["a", "b", "c"]) == ("X", "Y", "Z")
+    assert t.is_atomic(("c",)) and not t.is_atomic(("a", "b"))
+    with pytest.raises(ValueError, match="^line 2: duplicate"):
+        parse_phrase_table("a\tX\r\na\tY\r\n")
+
+
 def test_add_replacing_an_entry_sets_its_atomic_flag():
     t = PhraseTable()
     t.add(("a", "b"), ("X", "Y"), atomic=True)

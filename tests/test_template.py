@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from specsim.phrases import IdiomSpan
-from specsim.template import (Hole, RevisionConflict, TargetTemplate,
+from specsim.template import (RevisionConflict, TargetTemplate,
                               all_hole_template, consensus, emittable,
                               extend_into_hole, fixed_template, refine,
                               resolve_with)
@@ -25,37 +25,38 @@ def test_consensus_shopping_example():
 
 def test_consensus_single_certain_hypothesis_no_hole():
     t = consensus([(("a", "b", "c"), 1.0)], tau=0.9)
+    assert t == TargetTemplate(("a", "b", "c"))
     assert t.slots == ("a", "b", "c")
     assert t.complete()
 
 
 def test_consensus_disjoint_hypotheses_single_hole():
     t = consensus([(("x", "y"), 0.5), (("p", "q", "r"), 0.45)], tau=0.9)
-    assert t.slots == (Hole(),)
+    assert t == TargetTemplate((), ())
+    assert t.slots == (None,)
     assert t.render() == "[*]"
 
 
 def test_consensus_below_tau_commits_nothing():
     t = consensus(SHOPPING_HYPS, tau=0.95)
-    assert t.slots == (Hole(),)
+    assert t == all_hole_template()
 
 
 def test_single_hypothesis_emits_entire_translation():
     t = consensus([(H1, 0.95)], tau=0.9)
-    toks, done = emittable(t, [])
-    assert toks == H1
-    assert done.emit_ptr == len(H1)
+    assert emittable(t, [], 0) == H1
+    assert emittable(t, [], len(H1)) == ()
 
 
 def test_consensus_prefix_wins_on_overlap():
     # lcp = (a b a), lcs = (a b a), shortest member length 3
     t = consensus([(("a", "b", "a", "b", "a"), 0.5), (("a", "b", "a"), 0.4)], tau=0.9)
-    assert t.slots == ("a", "b", "a", Hole())
+    assert t == TargetTemplate(("a", "b", "a"), ())
 
 
 def test_consensus_identical_members_commit_fully():
     t = consensus([(("x", "y"), 0.5), (("x", "y"), 0.4)], tau=0.9)
-    assert t.slots == ("x", "y")
+    assert t == TargetTemplate(("x", "y"))
 
 
 def test_consensus_matches_bruteforce_oracle():
@@ -72,7 +73,7 @@ def test_consensus_matches_bruteforce_oracle():
             hyps.append((toks, mass * scale))
         hyps.sort(key=lambda h: (-h[1], h[0]))
         tau = rng.choice([0.5, 0.7, 0.9])
-        assert consensus(hyps, tau).slots == consensus_oracle(hyps, tau).slots
+        assert consensus(hyps, tau) == consensus_oracle(hyps, tau)
 
 
 def test_consensus_insensitive_to_equal_mass_permutation():
@@ -80,7 +81,7 @@ def test_consensus_insensitive_to_equal_mass_permutation():
     b = (("x", "q"), 0.45)
     t1 = consensus(sorted([a, b], key=lambda h: (-h[1], h[0])), 0.9)
     t2 = consensus(sorted([b, a], key=lambda h: (-h[1], h[0])), 0.9)
-    assert t1.slots == t2.slots
+    assert t1 == t2
 
 
 def test_refine_fills_hole_from_complete_fresh():
@@ -88,7 +89,7 @@ def test_refine_fills_hole_from_complete_fresh():
     final = tuple("Yesterday , I went shopping with my friend".split())
     merged = refine(committed, fixed_template(final))
     assert isinstance(merged, TargetTemplate)
-    assert merged.slots == final
+    assert merged == TargetTemplate(final)
 
 
 def test_refine_identity():
@@ -118,17 +119,26 @@ def test_refine_conflict_on_suffix():
     out = refine(committed, fresh)
     assert isinstance(out, RevisionConflict)
     assert out.committed == "friend" and out.got == "enemy"
+    # the hole counts as one slot: Yesterday , I [*] with my friend
+    assert out.slot == 6 and committed.slots[out.slot] == "friend"
+
+
+def test_refine_conflict_when_complete_fresh_overlaps_prefix_and_suffix():
+    # "a b" and "b c" agree with "a b c", but as one template they need four tokens
+    committed = TargetTemplate(("a", "b"), ("b", "c"))
+    assert refine(committed, fixed_template(("a", "b", "c"))) == RevisionConflict(2, "b", None)
 
 
 def test_refine_grows_prefix_and_suffix():
-    committed = TargetTemplate(("a", Hole(), "z"))
-    fresh = TargetTemplate(("a", "b", Hole(), "y", "z"))
+    committed = TargetTemplate(("a",), ("z",))
+    fresh = TargetTemplate(("a", "b"), ("y", "z"))
     merged = refine(committed, fresh)
-    assert merged.slots == ("a", "b", Hole(), "y", "z")
+    assert merged == fresh
+    assert merged.slots == ("a", "b", None, "y", "z")
 
 
 def test_refine_never_shrinks():
-    committed = TargetTemplate(("a", "b", Hole(), "z"))
+    committed = TargetTemplate(("a", "b"), ("z",))
     fresh = all_hole_template()
     merged = refine(committed, fresh)
     assert merged is committed
@@ -145,70 +155,61 @@ def test_refine_random_monotonicity():
         fresh = _partial(sentence, p2, s2)
         merged = refine(committed, fresh)
         assert isinstance(merged, TargetTemplate), merged
-        pre_c, _, suf_c = committed.parts()
-        pre_m, hole_m, suf_m = merged.parts()
-        assert pre_m[:len(pre_c)] == pre_c
+        assert merged.prefix[:len(committed.prefix)] == committed.prefix
         # committed suffix stays anchored at the end
-        tail = suf_m if hole_m else pre_m
-        assert not suf_c or tail[len(tail) - len(suf_c):] == suf_c
+        tail = merged.prefix if merged.complete() else merged.suffix
+        suf_c = committed.suffix or ()
+        assert tail[len(tail) - len(suf_c):] == suf_c
 
 
 def _partial(sentence, p, s):
     if p + s >= len(sentence):
         return fixed_template(sentence)
-    return TargetTemplate(sentence[:p] + (Hole(),) + (sentence[len(sentence) - s:]
-                                                       if s else ()))
+    return TargetTemplate(sentence[:p], sentence[len(sentence) - s:])
 
 
 def test_extend_into_hole():
-    committed = TargetTemplate(("a", Hole(), "z"))
+    committed = TargetTemplate(("a",), ("z",))
     out = extend_into_hole(committed, ("m", "n"))
-    assert out.slots == ("a", "m", "n", Hole(), "z")
+    assert out == TargetTemplate(("a", "m", "n"), ("z",))
     done = extend_into_hole(fixed_template(("a",)), ("b",))
-    assert done.slots == ("a", "b")
+    assert done == TargetTemplate(("a", "b"))
     assert extend_into_hole(committed, ()) is committed
 
 
 def test_resolve_with_alignment_and_fallback():
-    committed = TargetTemplate(("a", Hole(), "z"), emit_ptr=1)
-    assert resolve_with(committed, ("a", "m", "z")).slots == ("a", "m", "z")
+    committed = TargetTemplate(("a",), ("z",))
+    assert resolve_with(committed, ("a", "m", "z")) == TargetTemplate(("a", "m", "z"))
     # prefix disagrees: hole drops, committed tokens stay
-    assert resolve_with(committed, ("q", "m", "z")).slots == ("a", "z")
+    assert resolve_with(committed, ("q", "m", "z")) == TargetTemplate(("a", "z"))
+    # a final shorter than the prefix disagrees with it
+    assert resolve_with(TargetTemplate(("a", "b"), ()), ("a",)) == TargetTemplate(("a", "b"))
 
 
 def test_emittable_shopping_prefix():
     template = consensus(SHOPPING_HYPS, tau=0.9)
-    toks, advanced = emittable(template, [])
-    assert toks == ("Yesterday", ",", "I")
-    assert advanced.emit_ptr == 3
-    again, _ = emittable(advanced, [])
-    assert again == ()
+    assert emittable(template, [], 0) == ("Yesterday", ",", "I")
+    assert emittable(template, [], 3) == ()
 
 
 def test_emittable_leading_hole_emits_nothing():
-    toks, advanced = emittable(all_hole_template(), [])
-    assert toks == () and advanced.emit_ptr == 0
+    assert emittable(all_hole_template(), [], 0) == ()
 
 
 def test_emittable_stops_before_idiom_span():
     # fixed run would end at rendering position 3, strictly inside span (2, 5)
-    template = TargetTemplate(("t0", "t1", "t2", Hole(), "t4", "t5"))
-    toks, advanced = emittable(template, [IdiomSpan(2, 5)])
-    assert toks == ("t0", "t1")
-    assert advanced.emit_ptr == 2
+    template = TargetTemplate(("t0", "t1", "t2"), ("t4", "t5"))
+    assert emittable(template, [IdiomSpan(2, 5)], 0) == ("t0", "t1")
     # once the hole resolves the idiom emits wholesale
-    resolved = refine(advanced, fixed_template(("t0", "t1", "t2", "x", "t4", "t5")))
-    toks2, done = emittable(resolved, [])
-    assert toks2 == ("t2", "x", "t4", "t5")
-    assert done.emit_ptr == 6
+    resolved = refine(template, fixed_template(("t0", "t1", "t2", "x", "t4", "t5")))
+    assert emittable(resolved, [], 2) == ("t2", "x", "t4", "t5")
 
 
 def test_emittable_span_ending_at_boundary_is_fine():
-    template = TargetTemplate(("t0", "t1", "t2", Hole()))
-    toks, _ = emittable(template, [IdiomSpan(1, 3)])
-    assert toks == ("t0", "t1", "t2")
+    template = TargetTemplate(("t0", "t1", "t2"), ())
+    assert emittable(template, [IdiomSpan(1, 3)], 0) == ("t0", "t1", "t2")
 
 
 def test_render_debug_format():
-    t = TargetTemplate(("Yesterday", ",", "I", Hole(), "with", "my", "friend"))
+    t = TargetTemplate(("Yesterday", ",", "I"), ("with", "my", "friend"))
     assert t.render() == "Yesterday , I [*] with my friend"
