@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specsim.phrases import IdiomSpan
 from specsim.template import (RevisionConflict, TargetTemplate,
@@ -160,6 +165,50 @@ def test_refine_random_monotonicity():
         tail = merged.prefix if merged.complete() else merged.suffix
         suf_c = committed.suffix or ()
         assert tail[len(tail) - len(suf_c):] == suf_c
+
+
+def _all_templates(alphabet, most):
+    """Every template over `alphabet` with at most `most` committed tokens."""
+    seqs = [s for n in range(most + 1) for s in itertools.product(alphabet, repeat=n)]
+    return ([TargetTemplate(s) for s in seqs]
+            + [TargetTemplate(s[:i], s[i:]) for s in seqs for i in range(len(s) + 1)])
+
+
+def test_refine_pinned_on_every_small_pair():
+    # all 160 x 160 pairs over {a, b} with at most 4 committed tokens; "="
+    # marks a result that is the committed template itself
+    templates = _all_templates("ab", 4)
+    digest = hashlib.sha256()
+    for committed in templates:
+        for fresh in templates:
+            out = refine(committed, fresh)
+            digest.update(("=" if out is committed else repr(out)).encode() + b"\n")
+    assert len(templates) ** 2 == 25_600
+    assert digest.hexdigest() == (
+        "14132e565d9e6be38bcf97641d964ddcdcc460582a96d83d78e9e4b32a6dc412")
+
+
+def _end(t):
+    return t.prefix if t.complete() else t.suffix
+
+
+_toks = st.lists(st.sampled_from(["a", "b"]), max_size=5).map(tuple)
+_templates = st.builds(TargetTemplate, _toks, st.none() | _toks)
+
+
+@settings(derandomize=True, max_examples=400, database=None, deadline=None)
+@given(_templates, _templates)
+def test_refine_keeps_committed_edges_and_is_idempotent(committed, fresh):
+    out = refine(committed, fresh)
+    if isinstance(out, RevisionConflict):
+        return
+    assert out.prefix[:len(committed.prefix)] == committed.prefix
+    end, end_c = _end(out), _end(committed)
+    assert end[len(end) - len(end_c):] == end_c
+    assert len(out.fixed_tokens()) >= len(committed.fixed_tokens())
+    if committed.complete():
+        assert out is committed
+    assert refine(out, fresh) == out
 
 
 def _partial(sentence, p, s):
