@@ -106,69 +106,60 @@ def refine(committed: TargetTemplate,
     """Merge a fresh consensus into the committed template.
 
     Committed tokens are immutable; the committed hole absorbs whatever
-    fresh pins down around it. Any contradiction returns a RevisionConflict
-    and leaves the committed template untouched.
+    fresh pins down around it. A complete template has no hole, so its
+    prefix is also its end, and neither edge of it may grow. A
+    contradiction returns a RevisionConflict and leaves the committed
+    template untouched; it is checked in this order:
+
+    - prefix edge: the prefixes differ at a token, or one of them is
+      complete and ends where the other goes on;
+    - end edge: the same test on the ends, counted from the back;
+    - width: one side is complete and the other's prefix and suffix do
+      not fit inside it.
+
+    Otherwise a complete committed template comes back unchanged, a
+    complete fresh one replaces it, and two hole templates merge into the
+    longer prefix and the longer suffix.
     """
-    pre_c, suf_c = committed.prefix, committed.suffix
-    pre_f, suf_f = fresh.prefix, fresh.suffix
-
-    if suf_c is None:
-        if suf_f is None:
-            if pre_f == pre_c:
-                return committed
-            return _first_diff_conflict(pre_c, pre_f)
-        if (common_prefix_len(pre_c, pre_f) < len(pre_f)
-                or common_suffix_len(pre_c, suf_f) < len(suf_f)
-                or len(pre_f) + len(suf_f) > len(pre_c)):
-            return _fresh_vs_complete_conflict(pre_c, pre_f, suf_f)
+    ends = _end(committed), _end(fresh)
+    n = common_prefix_len(committed.prefix, fresh.prefix)
+    if _clash(committed, fresh, committed.prefix, fresh.prefix, n):
+        return RevisionConflict(n, _at(committed.prefix, n), _at(fresh.prefix, n))
+    s = common_suffix_len(*ends)
+    if _clash(committed, fresh, *ends, s):
+        return RevisionConflict(max(len(committed.slots) - 1 - s, 0),
+                                _at(ends[0][::-1], s), _at(ends[1][::-1], s))
+    if committed.complete() != fresh.complete():
+        done, part = (committed, fresh) if committed.complete() else (fresh, committed)
+        if len(part.prefix) + len(part.suffix) > len(done.prefix):
+            return RevisionConflict(len(part.prefix), (committed.suffix or (None,))[0], None)
+    if committed.complete():
         return committed
-
-    if suf_f is None:
-        full = pre_f
-        m = common_prefix_len(pre_c, full)
-        if m < len(pre_c):
-            return RevisionConflict(m, pre_c[m], full[m] if m < len(full) else None)
-        s = common_suffix_len(suf_c, full)
-        if s < len(suf_c):
-            off = len(suf_c) - 1 - s
-            got_i = len(full) - 1 - s
-            return RevisionConflict(len(pre_c) + 1 + off, suf_c[off],
-                                    full[got_i] if got_i >= 0 else None)
-        if len(full) < len(pre_c) + len(suf_c):
-            return RevisionConflict(len(pre_c), suf_c[0] if suf_c else None, None)
+    if fresh.complete():
         return fresh
-
-    m = common_prefix_len(pre_c, pre_f)
-    if m < min(len(pre_c), len(pre_f)):
-        return RevisionConflict(m, pre_c[m], pre_f[m])
-    s = common_suffix_len(suf_c, suf_f)
-    if s < min(len(suf_c), len(suf_f)):
-        off = len(suf_c) - 1 - s
-        return RevisionConflict(len(pre_c) + 1 + off, suf_c[off],
-                                suf_f[len(suf_f) - 1 - s])
-    if len(pre_f) <= len(pre_c) and len(suf_f) <= len(suf_c):
+    prefix = max(committed.prefix, fresh.prefix, key=len)
+    suffix = max(committed.suffix, fresh.suffix, key=len)
+    if prefix is committed.prefix and suffix is committed.suffix:
         return committed
-    return TargetTemplate(max(pre_c, pre_f, key=len), max(suf_c, suf_f, key=len))
+    return TargetTemplate(prefix, suffix)
 
 
-def _first_diff_conflict(a: tuple[str, ...], b: tuple[str, ...]) -> RevisionConflict:
-    i = common_prefix_len(a, b)
-    return RevisionConflict(i, a[i] if i < len(a) else None,
-                            b[i] if i < len(b) else None)
+def _end(t: TargetTemplate) -> tuple[str, ...]:
+    return t.prefix if t.suffix is None else t.suffix
 
 
-def _fresh_vs_complete_conflict(done: tuple[str, ...], pre_f: tuple[str, ...],
-                                suf_f: tuple[str, ...]) -> RevisionConflict:
-    i = common_prefix_len(done, pre_f)
-    if i < len(pre_f):
-        return RevisionConflict(i, done[i] if i < len(done) else None, pre_f[i])
-    s = common_suffix_len(done, suf_f)
-    off = len(suf_f) - 1 - s
-    if s < len(suf_f):
-        got = suf_f[off]
-        pos = len(done) - 1 - s
-        return RevisionConflict(max(pos, 0), done[pos] if pos >= 0 else None, got)
-    return RevisionConflict(len(pre_f), None, None)
+def _at(seq: tuple[str, ...], i: int) -> str | None:
+    return seq[i] if i < len(seq) else None
+
+
+def _clash(committed: TargetTemplate, fresh: TargetTemplate,
+           a: tuple[str, ...], b: tuple[str, ...], n: int) -> bool:
+    """Whether edges a and b, which agree on their first n tokens, contradict:
+    both go on and differ, or one ends at n on a complete template while the
+    other goes on."""
+    a_on, b_on = n < len(a), n < len(b)
+    return ((a_on or b_on) and (a_on or committed.complete())
+            and (b_on or fresh.complete()))
 
 
 def extend_into_hole(committed: TargetTemplate,
