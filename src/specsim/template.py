@@ -24,9 +24,15 @@ _TAU_SLACK = 1e-9  # mass sums land within an ulp of the threshold
 
 @dataclass(frozen=True, slots=True)
 class RevisionConflict:
-    """A fresh template contradicted an already committed token.
+    """A fresh template contradicted the committed one.
 
-    `slot` indexes `TargetTemplate.slots`, where the hole counts as one slot.
+    `slot` indexes `TargetTemplate.slots`, where the hole counts as one slot,
+    and `committed` and `got` are the two tokens there (None past an end).
+    There are three kinds: a prefix-edge conflict at the first position the
+    prefixes disagree; an end-edge conflict counted from the back, its slot
+    clamped at 0; and a width conflict, at the hole side's hole slot with no
+    tokens, when a complete side is too short to hold the other's prefix
+    and suffix.
     """
 
     slot: int
@@ -132,7 +138,7 @@ def refine(committed: TargetTemplate,
     if committed.complete() != fresh.complete():
         done, part = (committed, fresh) if committed.complete() else (fresh, committed)
         if len(part.prefix) + len(part.suffix) > len(done.prefix):
-            return RevisionConflict(len(part.prefix), (committed.suffix or (None,))[0], None)
+            return RevisionConflict(len(part.prefix), None, None)
     if committed.complete():
         return committed
     if fresh.complete():

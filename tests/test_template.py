@@ -129,9 +129,11 @@ def test_refine_conflict_on_suffix():
 
 
 def test_refine_conflict_when_complete_fresh_overlaps_prefix_and_suffix():
-    # "a b" and "b c" agree with "a b c", but as one template they need four tokens
+    # "a b" and "b c" agree with "a b c", but as one template they need four
+    # tokens; the conflict names the hole's slot and no token, in both directions
     committed = TargetTemplate(("a", "b"), ("b", "c"))
-    assert refine(committed, fixed_template(("a", "b", "c"))) == RevisionConflict(2, "b", None)
+    assert refine(committed, fixed_template(("a", "b", "c"))) == RevisionConflict(2, None, None)
+    assert refine(fixed_template(("a", "b", "c")), committed) == RevisionConflict(2, None, None)
 
 
 def test_refine_grows_prefix_and_suffix():
@@ -185,7 +187,7 @@ def test_refine_pinned_on_every_small_pair():
             digest.update(("=" if out is committed else repr(out)).encode() + b"\n")
     assert len(templates) ** 2 == 25_600
     assert digest.hexdigest() == (
-        "14132e565d9e6be38bcf97641d964ddcdcc460582a96d83d78e9e4b32a6dc412")
+        "5ddc347efda9f12eb27dd6bc38c414a8a4f03325b8d444a7337eaf8391186175")
 
 
 def _end(t):
