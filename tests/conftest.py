@@ -40,13 +40,18 @@ def toy_model():
     return train_ngram([["a", "b", "c"], ["a", "b", "d"]], 2, 0.1)
 
 
-def make_scenario(rng: random.Random):
+def make_scenario(rng: random.Random, ending: str | None = None):
     """One randomized scripted scenario with table-derived translations.
 
     Returns (transcript, backend, table, context). Every hypothesis
     translation is the phrase translation of its full hypothetical source,
     so after any divergence the final output must equal the phrase
     translation of the observed source (absent conflicts).
+
+    With `ending`, the source and every hypothesis end in that token, whose
+    one-token phrase is part of no longer one: all translations share their
+    last token, so consensus commits a suffix. Without it the random draws
+    are the same as ever.
     """
     vocab = [f"s{i}" for i in range(8)]
     n = rng.randint(3, 10)
@@ -62,6 +67,11 @@ def make_scenario(rng: random.Random):
         if len(span) >= 2:
             tgt = tuple(f"g{rng.randrange(50)}" for _ in range(rng.randint(1, 3)))
             table.add(span, tgt)
+    tail: tuple[str, ...] = ()
+    if ending is not None:
+        tail = (ending,)
+        table.add(tail, (ending.upper(),))
+        true.append(ending)
 
     def make_items(prefix: tuple[str, ...]):
         remainder = tuple(true[len(prefix):])
@@ -71,7 +81,7 @@ def make_scenario(rng: random.Random):
             conts.append(remainder)
         while len(conts) < count:
             ln = rng.randint(1, 6)
-            cont = tuple(rng.choice(vocab) for _ in range(ln))
+            cont = tuple(rng.choice(vocab) for _ in range(ln)) + tail
             if cont not in conts:
                 conts.append(cont)
         masses = sorted((rng.uniform(0.05, 0.5) for _ in conts), reverse=True)
@@ -83,7 +93,7 @@ def make_scenario(rng: random.Random):
         ]
 
     entries = {("ctx", ()): make_items(())}
-    for i in range(1, n):
+    for i in range(1, len(true)):
         if rng.random() < 0.8:
             prefix = tuple(true[:i])
             entries[("ctx", prefix)] = make_items(prefix)

@@ -314,15 +314,19 @@ def replay_ticks(session, transcript, profile):
         tick += 1
 
 
+# Half the scenarios end the source and every hypothesis in one shared
+# token, so consensus commits a suffix: a non-empty committed suffix on
+# about 4 % of their ticks, against 0.1 % without it.
 BURST_SCENARIOS = dict(seed=st.integers(0, 2**32 - 1), burst=st.integers(2, 5),
-                       rest=st.lists(st.integers(1, 4), max_size=3))
+                       rest=st.lists(st.integers(1, 4), max_size=3),
+                       ending=st.sampled_from([None, "fin"]))
 
 
-@settings(derandomize=True, max_examples=60, database=None, deadline=None)
+@settings(derandomize=True, max_examples=120, database=None, deadline=None)
 @given(**BURST_SCENARIOS)
-def test_calls_return_the_log_tail_and_the_report_reads_the_log(seed, burst, rest):
+def test_calls_return_the_log_tail_and_the_report_reads_the_log(seed, burst, rest, ending):
     rng = random.Random(seed)
-    transcript, backend, table, ctx = make_scenario(rng)
+    transcript, backend, table, ctx = make_scenario(rng, ending)
     session = start_session(random_config(rng), ctx, backend, table)
     returned: list = []
     seen: list[str] = []
@@ -356,11 +360,11 @@ def check_committed_slots_kept(session, transcript, profile):
         old = new
 
 
-@settings(derandomize=True, max_examples=60, database=None, deadline=None)
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
 @given(**BURST_SCENARIOS)
-def test_a_committed_slot_never_changes(seed, burst, rest):
+def test_a_committed_slot_never_changes(seed, burst, rest, ending):
     rng = random.Random(seed)
-    transcript, backend, table, ctx = make_scenario(rng)
+    transcript, backend, table, ctx = make_scenario(rng, ending)
     session = start_session(random_config(rng), ctx, backend, table)
     check_committed_slots_kept(session, transcript, (burst, *rest))
 
