@@ -155,10 +155,7 @@ def advance(tree: PredictionTree, token: str) -> MatchOutcome:
         node.path_p = math.fsum(c.path_p for c in kept)
         return True
 
-    kept = [c for c in tree.root.children if visit(c)]
-    if len(kept) != len(tree.root.children):
-        removed = True
-    tree.root.children = kept
+    visit(tree.root)
 
     if all(n.is_other for n in tree.leaves()):
         tree.root = TreeNode(False, (), 1.0, None, False, 0)
