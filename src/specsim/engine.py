@@ -117,6 +117,7 @@ class Session:
         if ev.index != self.delivered:
             raise OutOfOrderToken(f"expected index {self.delivered}, got {ev.index}")
         self.delivered += 1
+        self.last_t = ev.t_ms
         self.buffer.append(ev)
 
     # -- emission ----------------------------------------------------------
@@ -149,7 +150,6 @@ class Session:
 
     def _process(self, ev: TokenEvent):
         token, t_ms = ev.surface, ev.t_ms
-        self.last_t = t_ms
         self.observed.append(token)
 
         outcome = advance(self.tree, token)
@@ -201,7 +201,6 @@ def deliver(session: Session, ev: TokenEvent) -> list[OutputEvent]:
         raise ValueError("final event must go to finalize()")
     n = len(session.events)
     session._take(ev)
-    session.last_t = ev.t_ms
     if len(session.buffer) > session.config.buffer_limit:
         catchup(session)
     return session.events[n:]
@@ -229,7 +228,7 @@ def catchup(session: Session) -> list[OutputEvent]:
         raise ValueError("catch-up requires a non-empty buffer")
     n = len(session.events)
     span = [ev.surface for ev in session.buffer]
-    t_ms = session.last_t = session.buffer[-1].t_ms
+    t_ms = session.buffer[-1].t_ms
     session.buffer.clear()
     session.observed.extend(span)
     session.events.append(OutputEvent("catchup", t_ms, span=len(span)))
