@@ -26,13 +26,14 @@ _TAU_SLACK = 1e-9  # mass sums land within an ulp of the threshold
 class RevisionConflict:
     """A fresh template contradicted the committed one.
 
-    `slot` indexes `TargetTemplate.slots`, where the hole counts as one slot,
-    and `committed` and `got` are the two tokens there (None past an end).
-    There are three kinds: a prefix-edge conflict at the first position the
-    prefixes disagree; an end-edge conflict counted from the back, its slot
-    clamped at 0; and a width conflict, at the hole side's hole slot with no
-    tokens, when a complete side is too short to hold the other's prefix
-    and suffix.
+    `slot` indexes the committed `TargetTemplate.slots`, where the hole
+    counts as one slot; `committed` is the committed token at the conflict
+    and `got` the fresh one, None past an end. There are three kinds:
+
+    - prefix edge: the first position where the prefixes contradict;
+    - end edge: the same from the back of the ends, its slot clamped at 0;
+    - width: a complete side too short to hold the other side's prefix and
+      suffix; the slot is the other side's hole, and no token is named.
     """
 
     slot: int
@@ -113,16 +114,9 @@ def refine(committed: TargetTemplate,
 
     Committed tokens are immutable; the committed hole absorbs whatever
     fresh pins down around it. A complete template has no hole, so its
-    prefix is also its end, and neither edge of it may grow. A
-    contradiction returns a RevisionConflict and leaves the committed
-    template untouched; it is checked in this order:
-
-    - prefix edge: the prefixes differ at a token, or one of them is
-      complete and ends where the other goes on;
-    - end edge: the same test on the ends, counted from the back;
-    - width: one side is complete and the other's prefix and suffix do
-      not fit inside it.
-
+    prefix is also its end, and neither edge of it may grow. Checked in
+    order, a prefix-edge, end-edge or width contradiction returns a
+    RevisionConflict and leaves the committed template untouched.
     Otherwise a complete committed template comes back unchanged, a
     complete fresh one replaces it, and two hole templates merge into the
     longer prefix and the longer suffix.
