@@ -121,45 +121,42 @@ def refine(committed: TargetTemplate,
     complete fresh one replaces it, and two hole templates merge into the
     longer prefix and the longer suffix.
     """
-    ends = _end(committed), _end(fresh)
+    done_c, done_f = committed.suffix is None, fresh.suffix is None
     n = common_prefix_len(committed.prefix, fresh.prefix)
-    if _clash(committed, fresh, committed.prefix, fresh.prefix, n):
+    if _clash(committed.prefix, fresh.prefix, n, done_c, done_f):
         return RevisionConflict(n, _at(committed.prefix, n), _at(fresh.prefix, n))
-    s = common_suffix_len(*ends)
-    if _clash(committed, fresh, *ends, s):
+    end_c = committed.prefix if done_c else committed.suffix
+    end_f = fresh.prefix if done_f else fresh.suffix
+    s = common_suffix_len(end_c, end_f)
+    if _clash(end_c, end_f, s, done_c, done_f):
         return RevisionConflict(max(len(committed.slots) - 1 - s, 0),
-                                _at(ends[0][::-1], s), _at(ends[1][::-1], s))
-    if committed.complete() != fresh.complete():
-        done, part = (committed, fresh) if committed.complete() else (fresh, committed)
+                                _at(end_c[::-1], s), _at(end_f[::-1], s))
+    if done_c != done_f:
+        done, part = (committed, fresh) if done_c else (fresh, committed)
         if len(part.prefix) + len(part.suffix) > len(done.prefix):
             return RevisionConflict(len(part.prefix), None, None)
-    if committed.complete():
+    if done_c:
         return committed
-    if fresh.complete():
+    if done_f:
         return fresh
-    prefix = max(committed.prefix, fresh.prefix, key=len)
-    suffix = max(committed.suffix, fresh.suffix, key=len)
-    if prefix is committed.prefix and suffix is committed.suffix:
+    if (len(fresh.prefix) <= len(committed.prefix)
+            and len(fresh.suffix) <= len(committed.suffix)):
         return committed
-    return TargetTemplate(prefix, suffix)
-
-
-def _end(t: TargetTemplate) -> tuple[str, ...]:
-    return t.prefix if t.suffix is None else t.suffix
+    return TargetTemplate(max(committed.prefix, fresh.prefix, key=len),
+                          max(committed.suffix, fresh.suffix, key=len))
 
 
 def _at(seq: tuple[str, ...], i: int) -> str | None:
     return seq[i] if i < len(seq) else None
 
 
-def _clash(committed: TargetTemplate, fresh: TargetTemplate,
-           a: tuple[str, ...], b: tuple[str, ...], n: int) -> bool:
+def _clash(a: tuple[str, ...], b: tuple[str, ...], n: int,
+           a_done: bool, b_done: bool) -> bool:
     """Whether edges a and b, which agree on their first n tokens, contradict:
     both go on and differ, or one ends at n on a complete template while the
     other goes on."""
     a_on, b_on = n < len(a), n < len(b)
-    return ((a_on or b_on) and (a_on or committed.complete())
-            and (b_on or fresh.complete()))
+    return (a_on or b_on) and (a_on or a_done) and (b_on or b_done)
 
 
 def extend_into_hole(committed: TargetTemplate,
