@@ -169,6 +169,12 @@ def test_refine_random_monotonicity():
         assert tail[len(tail) - len(suf_c):] == suf_c
 
 
+def _partial(sentence, p, s):
+    if p + s >= len(sentence):
+        return fixed_template(sentence)
+    return TargetTemplate(sentence[:p], sentence[len(sentence) - s:])
+
+
 def _all_templates(alphabet, most):
     """Every template over `alphabet` with at most `most` committed tokens."""
     seqs = [s for n in range(most + 1) for s in itertools.product(alphabet, repeat=n)]
@@ -211,12 +217,6 @@ def test_refine_keeps_committed_edges_and_is_idempotent(committed, fresh):
     if committed.complete():
         assert out is committed
     assert refine(out, fresh) == out
-
-
-def _partial(sentence, p, s):
-    if p + s >= len(sentence):
-        return fixed_template(sentence)
-    return TargetTemplate(sentence[:p], sentence[len(sentence) - s:])
 
 
 def test_extend_into_hole():
