@@ -6,9 +6,14 @@ observed tokens at build time), never copied. The tree does not track the
 tokens observed since, so `expand` takes a hypothesis's source prefix from
 its caller. Each named child carries a multi-token continuation edge, a
 full-sentence target translation while it is a leaf, and its path
-probability; every node may own one "other" child absorbing residual and
-pruned mass. Observation consumes edge tokens one at a time; survivors
+probability. Observation consumes edge tokens one at a time; survivors
 are renormalized Bayes-style on their prior masses.
+
+Two invariants hold for every tree these functions build or change:
+- every internal node has exactly one "other" child, a leaf that absorbs
+  residual and pruned mass, and it is the node's last child;
+- others survive every token, so an internal node never loses its last
+  child and `advance` removes only leaves.
 
 A tree is owned by one session and mutated single-threaded.
 """
@@ -44,9 +49,6 @@ class TreeNode:
     def consumed(self) -> bool:
         return self.edge_pos == len(self.edge)
 
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 def _other(path_p: float, depth: int) -> TreeNode:
     return TreeNode(True, (), path_p, None, False, depth)
@@ -65,20 +67,18 @@ class PredictionTree:
             stack.extend(reversed(node.children))
 
     def leaves(self) -> Iterator[TreeNode]:
-        return (n for n in self.walk() if n.is_leaf() and n is not self.root)
+        return (n for n in self.walk() if not n.children and n is not self.root)
 
     def total_mass(self) -> float:
         return math.fsum(n.path_p for n in self.leaves())
 
-    def named_leaf_count(self) -> int:
-        return sum(1 for n in self.leaves() if not n.is_other)
-
     def dump(self) -> str:
         """Deterministic indented rendering used by golden tests."""
         lines = [f". p={self.root.path_p:.4f}"]
-
-        def emit(node: TreeNode, indent: int):
-            pad = "  " * indent
+        nodes = self.walk()
+        next(nodes)  # the root
+        for node in nodes:
+            pad = "  " * node.depth
             if node.is_other:
                 lines.append(f"{pad}+ (other) p={node.path_p:.4f}")
             else:
@@ -86,11 +86,6 @@ class PredictionTree:
                 mark = " <end>" if node.terminal else ""
                 lines.append(f"{pad}+ {edge} [{node.edge_pos}/{len(node.edge)}]"
                              f" p={node.path_p:.4f}{mark}")
-            for c in node.children:
-                emit(c, indent + 1)
-
-        for c in self.root.children:
-            emit(c, 1)
         return "\n".join(lines) + "\n"
 
 
@@ -122,6 +117,32 @@ def build_tree(prefix: Sequence[str], ps: PredictionSet | None) -> PredictionTre
     return tree
 
 
+def _consume(node: TreeNode, token: str, leaves: list[TreeNode],
+             inner: list[TreeNode]) -> bool:
+    """Advance the subtree under `node` by one token, appending its surviving
+    leaves and internal nodes. Sets `node`'s mass to the sum of its surviving
+    children and returns whether any node was removed."""
+    kept = []
+    removed = False
+    for c in node.children:
+        if c.children:  # consumed; its other survives, so it does too
+            removed = _consume(c, token, leaves, inner) or removed
+            inner.append(c)
+        elif not c.is_other:
+            if c.edge_pos == len(c.edge) or c.edge[c.edge_pos] != token:
+                continue
+            c.edge_pos += 1
+            leaves.append(c)
+        else:
+            leaves.append(c)
+        kept.append(c)
+    if len(kept) != len(node.children):
+        node.children = kept
+        removed = True
+    node.path_p = math.fsum(c.path_p for c in kept)
+    return removed
+
+
 def advance(tree: PredictionTree, token: str) -> MatchOutcome:
     """Consume one observed source token.
 
@@ -131,42 +152,22 @@ def advance(tree: PredictionTree, token: str) -> MatchOutcome:
     over or was never expanded). Survivor masses renormalize on their priors;
     with no surviving named leaf the tree collapses to other-only mass 1.
     """
-    removed = False
+    leaves: list[TreeNode] = []
+    inner: list[TreeNode] = []
+    removed = _consume(tree.root, token, leaves, inner)
 
-    def visit(node: TreeNode) -> bool:
-        nonlocal removed
-        if node.is_other:
-            return True
-        if node.edge_pos < len(node.edge):
-            if node.edge[node.edge_pos] == token:
-                node.edge_pos += 1
-                return True
-            removed = True
-            return False
-        if not node.children:
-            removed = True
-            return False
-        kept = [c for c in node.children if visit(c)]
-        if len(kept) != len(node.children):
-            removed = True
-        node.children = kept
-        if not kept:
-            return False
-        node.path_p = math.fsum(c.path_p for c in kept)
-        return True
-
-    visit(tree.root)
-
-    if all(n.is_other for n in tree.leaves()):
+    if all(n.is_other for n in leaves):
         tree.root = TreeNode(False, (), 1.0, None, False, 0)
         tree.root.children = [_other(1.0, 1)]
         return MatchOutcome(True, True)
 
-    s = tree.total_mass()
+    s = math.fsum(n.path_p for n in leaves)
     scaled = abs(s - 1.0) > _RENORM_SKIP
     if scaled:
         inv = 1.0 / s
-        for n in tree.walk():
+        for n in leaves:
+            n.path_p *= inv
+        for n in inner:
             n.path_p *= inv
         tree.root.path_p = 1.0
     return MatchOutcome(False, removed or scaled)
@@ -205,36 +206,26 @@ def expandable_leaves(tree: PredictionTree, max_depth: int) -> list[TreeNode]:
 def prune(tree: PredictionTree, epsilon: float, k: int) -> bool:
     """Fold low-mass named nodes and beyond-k children into their parent's other.
 
-    Mass is conserved exactly: every removed subtree's mass lands in the
-    other child (created on demand). Returns whether anything changed.
+    Of more than k named siblings at or above epsilon, the k heaviest stay,
+    the lexicographically smaller edge winning a tie, in sibling order. Mass
+    is conserved exactly: every removed subtree's mass lands in the last
+    child, the other. Returns whether anything changed.
     """
     changed = False
-
-    def visit(parent: TreeNode):
-        nonlocal changed
-        if not parent.children:
-            return
-        named = [c for c in parent.children if not c.is_other]
-        others = [c for c in parent.children if c.is_other]
-        other = others[0] if others else None
+    stack = [tree.root]
+    while stack:
+        parent = stack.pop()
+        *named, other = parent.children
         keep = [c for c in named if c.path_p >= epsilon]
         if len(keep) > k:
-            ranked = sorted(keep, key=lambda c: (-c.path_p, c.edge))
-            allowed = {id(c) for c in ranked[:k]}
-            keep = [c for c in keep if id(c) in allowed]
-        kept_ids = {id(c) for c in keep}
-        dropped = [c for c in named if id(c) not in kept_ids]
-        if dropped:
-            folded = math.fsum(c.path_p for c in dropped)
-            if other is None:
-                other = _other(0.0, parent.depth + 1)
-            other.path_p += folded
+            top = sorted(keep, key=lambda c: (-c.path_p, c.edge))[:k]
+            keep = [c for c in keep if c in top]
+        if len(keep) != len(named):
+            other.path_p += math.fsum(c.path_p for c in named if c not in keep)
+            keep.append(other)
+            parent.children = keep
             changed = True
-        parent.children = keep + ([other] if other is not None else [])
-        for c in keep:
-            visit(c)
-
-    visit(tree.root)
+        stack.extend(c for c in keep if c.children)
     return changed
 
 
