@@ -363,8 +363,8 @@ def prediction_sets(draw):
     return prediction_set(items)
 
 
-# an int picks a frontier token, as _some_token does most of the time; a str
-# is observed as is
+# an int picks a frontier token, as _some_token does most of the time, so two
+# of the three branches are ints; a str is observed as is
 TOKEN_PICKS = st.integers(0, 9) | st.integers(10, 99) | st.sampled_from(VOCAB + ["zz"])
 # an expansion draws its prediction set only when there is a leaf to expand;
 # True makes the backend raise NoPrediction instead
@@ -415,7 +415,8 @@ def test_mass_conservation_random_operation_sequences(ps, ops, data):
 
 
 @TREE_PROPERTY
-@given(prediction_sets(), st.lists(OPERATIONS, min_size=2, max_size=6), TOKEN_PICKS, st.data())
+@given(prediction_sets(), st.lists(OPERATIONS, min_size=2, max_size=6), TOKEN_PICKS,
+       st.data())
 def test_advance_matches_bruteforce_bayes(ps, ops, pick, data):
     tree = build_tree((), ps)
     for op in ops:
