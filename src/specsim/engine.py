@@ -6,6 +6,13 @@ re-prediction on the full observed prefix, buffer overflow triggers a direct
 catch-up translation, and a periodic perplexity check flags context drift.
 Emission is append-only: committed output is never retracted.
 
+A hit tick expands from the frontier `advance` hands back, without walking
+the tree again. It prunes only when a prune may fold something: after a
+tree is built (at the start, on re-predict and on catch-up), after an
+expansion, and after an advance that removed a node or moved a mass. A
+second prune of an unchanged tree changes nothing, so the skipped ones would
+not change the log either.
+
 `session.events` is the session's only record: each event is appended as
 it happens, `deliver`, `step`, `catchup` and `finalize` return the events
 they appended (the log's tail from the call's start), and the report
@@ -88,8 +95,8 @@ class Session:
         self.aux: tuple[str, ...] | None = None
         self.last_t = 0
         self.finalized = False
-        self.tree: PredictionTree = self._predict_tree()
-        self._dirty = True
+        self.tree: PredictionTree
+        self._new_tree()
         self._baseline_ppl = self._context_perplexity()
 
     # -- predictor plumbing ------------------------------------------------
@@ -104,6 +111,11 @@ class Session:
         except NoPrediction:
             ps = None
         return build_tree(prefix, ps)
+
+    def _new_tree(self):
+        """Re-anchor at the full observed prefix: commit and prune are due."""
+        self.tree = self._predict_tree()
+        self._dirty = self._prune_due = True
 
     def _context_perplexity(self) -> float | None:
         ppl = getattr(self.backend, "perplexity", None)
@@ -156,20 +168,23 @@ class Session:
         if outcome.diverged:
             self.events.append(OutputEvent("diverge", t_ms))
             self.events.append(OutputEvent("repredict", t_ms))
-            self.tree = self._predict_tree()
-            self._dirty = True
+            self._new_tree()
         else:
             if outcome.changed:
                 self._dirty = True
-            leaves = expandable_leaves(self.tree, self.config.d)
+            if outcome.moved:
+                self._prune_due = True
+            leaves = expandable_leaves(outcome.frontier, self.config.d)
             if leaves:
                 prefix = self._view()  # what every expandable leaf has consumed
                 for leaf in leaves:
                     if expand(self.tree, leaf, self.backend, self.context, prefix,
                               self.config.k, self.aux):
-                        self._dirty = True
-            if prune(self.tree, self.config.epsilon, self.config.k):
-                self._dirty = True
+                        self._dirty = self._prune_due = True
+            if self._prune_due:
+                if prune(self.tree, self.config.epsilon, self.config.k):
+                    self._dirty = True
+                self._prune_due = False
 
         if self._dirty:
             self._commit(t_ms)
@@ -235,8 +250,7 @@ def catchup(session: Session) -> list[OutputEvent]:
     session.template = extend_into_hole(session.template,
                                         translate(session.table, span))
     session._emit(t_ms)
-    session.tree = session._predict_tree()
-    session._dirty = True
+    session._new_tree()
     return session.events[n:]
 
 

@@ -9,6 +9,10 @@ full-sentence target translation while it is a leaf, and its path
 probability. Observation consumes edge tokens one at a time; survivors
 are renormalized Bayes-style on their prior masses.
 
+`advance` hands back the frontier it visited, so its caller finds the
+leaves to expand without another walk, and says whether anything `prune`
+reads has moved, so its caller can skip a `prune` that would change nothing.
+
 Two invariants hold for every tree these functions build or change:
 - every internal node has exactly one "other" child, a leaf that absorbs
   residual and pruned mass, and it is the node's last child;
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .predictor import Backend, NoPrediction, PredictionSet
 from .stream import ContextDoc
@@ -94,7 +98,9 @@ class MatchOutcome:
     """Result of advancing one observed token."""
 
     diverged: bool
-    changed: bool  # any subtree removed or masses renormalized
+    changed: bool  # any subtree removed or leaf masses renormalized
+    moved: bool  # changed, or an internal node re-summed to a new mass
+    frontier: list[TreeNode]  # the surviving leaves, in walk order
 
 
 def _attach_predictions(node: TreeNode, ps: PredictionSet | None, scale: float,
@@ -118,15 +124,19 @@ def build_tree(prefix: Sequence[str], ps: PredictionSet | None) -> PredictionTre
 
 
 def _consume(node: TreeNode, token: str, leaves: list[TreeNode],
-             inner: list[TreeNode]) -> bool:
+             inner: list[TreeNode]) -> tuple[bool, bool]:
     """Advance the subtree under `node` by one token, appending its surviving
     leaves and internal nodes. Sets `node`'s mass to the sum of its surviving
-    children and returns whether any node was removed."""
+    children and returns whether any node was removed, and whether an
+    internal node below `node` now has a different mass."""
     kept = []
-    removed = False
+    removed = moved = False
     for c in node.children:
         if c.children:  # consumed; its other survives, so it does too
-            removed = _consume(c, token, leaves, inner) or removed
+            mass = c.path_p
+            r, m = _consume(c, token, leaves, inner)
+            removed = removed or r
+            moved = moved or m or c.path_p != mass
             inner.append(c)
         elif not c.is_other:
             if c.edge_pos == len(c.edge) or c.edge[c.edge_pos] != token:
@@ -140,7 +150,7 @@ def _consume(node: TreeNode, token: str, leaves: list[TreeNode],
         node.children = kept
         removed = True
     node.path_p = math.fsum(c.path_p for c in kept)
-    return removed
+    return removed, moved
 
 
 def advance(tree: PredictionTree, token: str) -> MatchOutcome:
@@ -151,15 +161,21 @@ def advance(tree: PredictionTree, token: str) -> MatchOutcome:
     consumed leaves cannot match (their hypothesis claimed the sentence was
     over or was never expanded). Survivor masses renormalize on their priors;
     with no surviving named leaf the tree collapses to other-only mass 1.
+
+    The outcome's frontier is the tree's leaves, `list(tree.leaves())`,
+    collected by this one visit. It stays exact until the tree is next
+    expanded or pruned. With `moved` false no node was removed and no named
+    node's mass changed, so a pruned tree is still pruned.
     """
     leaves: list[TreeNode] = []
     inner: list[TreeNode] = []
-    removed = _consume(tree.root, token, leaves, inner)
+    removed, moved = _consume(tree.root, token, leaves, inner)
 
     if all(n.is_other for n in leaves):
         tree.root = TreeNode(False, (), 1.0, None, False, 0)
-        tree.root.children = [_other(1.0, 1)]
-        return MatchOutcome(True, True)
+        other = _other(1.0, 1)
+        tree.root.children = [other]
+        return MatchOutcome(True, True, True, [other])
 
     s = math.fsum(n.path_p for n in leaves)
     scaled = abs(s - 1.0) > _RENORM_SKIP
@@ -170,7 +186,8 @@ def advance(tree: PredictionTree, token: str) -> MatchOutcome:
         for n in inner:
             n.path_p *= inv
         tree.root.path_p = 1.0
-    return MatchOutcome(False, removed or scaled)
+    changed = removed or scaled
+    return MatchOutcome(False, changed, changed or moved, leaves)
 
 
 def expand(tree: PredictionTree, node: TreeNode, backend: Backend,
@@ -196,9 +213,10 @@ def expand(tree: PredictionTree, node: TreeNode, backend: Backend,
     return True
 
 
-def expandable_leaves(tree: PredictionTree, max_depth: int) -> list[TreeNode]:
-    """Named leaves whose edge is fully consumed, below the depth cap."""
-    return [n for n in tree.leaves()
+def expandable_leaves(frontier: Iterable[TreeNode], max_depth: int) -> list[TreeNode]:
+    """The named leaves of `frontier` (an advance's, or `tree.leaves()`) whose
+    edge is fully consumed, below the depth cap."""
+    return [n for n in frontier
             if not n.is_other and n.consumed and not n.terminal
             and n.depth < max_depth]
 
@@ -210,6 +228,11 @@ def prune(tree: PredictionTree, epsilon: float, k: int) -> bool:
     the lexicographically smaller edge winning a tie, in sibling order. Mass
     is conserved exactly: every removed subtree's mass lands in the last
     child, the other. Returns whether anything changed.
+
+    Only the structure and the named nodes' masses and edges are read, and a
+    second run with the same arguments changes nothing. So after a run, the
+    next one can change something only once an `expand`, or an `advance`
+    whose outcome has `moved`, changed the tree.
     """
     changed = False
     stack = [tree.root]

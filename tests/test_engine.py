@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from specsim.engine import (OutOfOrderToken, catchup, deliver, feed, finalize,
                             start_session, step)
 from specsim.metrics import compute_report
-from specsim.ngram import train_ngram
+from specsim.ngram import END, train_ngram
 from specsim.phrases import PhraseTable, translate
-from specsim.predictor import NgramBackend, NoPrediction
+from specsim.predictor import NgramBackend, NoPrediction, Prediction, ScriptedBackend
 from specsim.replay import events_to_jsonl, replay
 from specsim.stream import ContextDoc, EngineConfig, TokenEvent, transcript_from_tokens
+from specsim.tree import prune
 
 from conftest import make_scenario, random_config
 
@@ -263,25 +264,6 @@ def test_finalize_falls_back_to_direct_translation(shopping_table):
 # -- randomized end-to-end properties -------------------------------------------
 
 
-def test_monotone_emission_on_random_scenarios():
-    rng = random.Random(2025)
-    for _ in range(150):
-        transcript, backend, table, ctx = make_scenario(rng)
-        cfg = random_config(rng)
-        session = start_session(cfg, ctx, backend, table)
-        profile = rng.choice([(1,), (2,), (3,), (2, 1, 3)])
-        seen: list[str] = []
-        events, report = replay(transcript, session, profile)
-        for ev in events:
-            if ev.kind == "emit":
-                seen.extend(ev.toks)
-                assert seen == session.emitted[:len(seen)]
-        assert seen == session.emitted
-        assert report.emitted_len == len(seen)
-        # template fully resolved
-        assert session.template.complete()
-
-
 def test_final_output_oracle_after_divergence():
     rng = random.Random(31337)
     checked = 0
@@ -341,6 +323,23 @@ def test_calls_return_the_log_tail_and_the_report_reads_the_log(seed, burst, res
                                for t in ev.toks]
 
 
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), profile=st.lists(st.integers(1, 4), min_size=1,
+                                                      max_size=3),
+       ending=st.sampled_from([None, "fin"]))
+def test_emission_is_append_only(seed, profile, ending):
+    rng = random.Random(seed)
+    transcript, backend, table, ctx = make_scenario(rng, ending)
+    session = start_session(random_config(rng), ctx, backend, table)
+    seen: list[str] = []
+    for events, report in replay_ticks(session, transcript, profile):
+        seen.extend(t for ev in events if ev.kind == "emit" for t in ev.toks)
+        # after every tick, the output is what the emit events appended so far
+        assert session.emitted == seen
+    assert report.emitted_len == len(seen)
+    assert session.template.complete()
+
+
 def check_committed_slots_kept(session, transcript, profile):
     """After every tick: the prefix only grows; a hole's suffix stays at the
     end; a complete template stays complete; emission reads the prefix."""
@@ -378,6 +377,24 @@ def test_a_committed_slot_never_changes_shopping(shopping_backend, shopping_tabl
     # "with my friend" before its hole resolves
     session = session_for(shopping_backend, shopping_table, buffer_limit=buffer_limit)
     check_committed_slots_kept(session, shopping_transcript, profile)
+
+
+def test_a_hit_tick_leaves_the_tree_pruned():
+    # "b" completes hypothesis "a b", whose expansion has a child below
+    # epsilon; "c" then kills its other named child, so the expanded node
+    # falls below epsilon on a hit tick. Both ticks must prune.
+    backend = ScriptedBackend({
+        ("ctx", ()): [Prediction(("a", "b"), 0.6, ("ta",)),
+                      Prediction(("a", "b", "c", END), 0.3, ("tx",))],
+        ("ctx", ("a", "b")): [Prediction(("d", END), 0.95, ("ta", "td")),
+                              Prediction(("e", END), 0.04, ("ta", "te"))],
+    })
+    session = start_session(EngineConfig(k=4, d=2, epsilon=0.1), ContextDoc("ctx"),
+                            backend, PhraseTable())
+    for ev in transcript_from_tokens(["a", "b", "c", "z"]).events[:3]:
+        assert not any(e.kind == "diverge" for e in feed(session, ev))
+        assert not prune(session.tree, 0.1, 4)
+    assert [n.edge for n in session.tree.root.children] == [("a", "b", "c"), ()]
 
 
 def test_divergence_soundness_events_match_counters():

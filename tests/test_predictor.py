@@ -349,7 +349,7 @@ def test_ngram_backend_drops_underflowed_continuations():
     session = start_session(EngineConfig(k=12), CTX, backend, PhraseTable())
     ps = backend.predict(CTX, (), 12)
     assert ps.items and all(pr.p > 0 for pr in ps.items)
-    assert session.tree.leaves()
+    assert sum(not n.is_other for n in session.tree.leaves()) == len(ps.items)
 
 
 def test_ngram_backend_memo_is_lru_bounded(monkeypatch):

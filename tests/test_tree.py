@@ -112,6 +112,34 @@ def test_advance_renormalises_after_removing_a_tiny_mass():
     assert tree.total_mass() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_advance_moves_when_an_internal_node_resums_to_a_new_mass():
+    backend = FixedBackend({("a",): ps_of(("b c", 0.6, "tb"))})
+    tree = build_tree((), prediction_set([Prediction(("a",), 1.0, ("ta",))]))
+    advance(tree, "a")
+    node = tree.root.children[0]
+    expand(tree, node, backend, CTX, ("a",), 4)
+    node.path_p = 0.3  # below its children's 0.6 + 0.4: prune reads this mass
+    out = advance(tree, "b")  # every leaf survives, their masses still sum to 1
+    assert not out.changed and out.moved
+    assert node.path_p == 1.0
+    assert not advance(tree, "c").moved  # the others survive; nothing re-sums
+
+
+def test_an_advance_below_an_expansion_keeps_walk_order_and_can_leave_a_fold():
+    backend = FixedBackend({("a",): ps_of(("b", 0.95, "tb"))})
+    tree = build_tree((), prediction_set([Prediction(("a",), 0.6, ("ta",)),
+                                          Prediction(("a", "c", END), 0.3, ("tx",))]))
+    advance(tree, "a")
+    node, x, root_other = tree.root.children
+    expand(tree, node, backend, CTX, ("a",), 4)
+    assert not prune(tree, 0.1, 4)
+    out = advance(tree, "c")  # kills b: the expanded node keeps only its other
+    node_other = node.children[0]
+    assert out.frontier == [node_other, x, root_other] == list(tree.leaves())
+    assert out.moved and node.path_p < 0.1
+    assert prune(tree, 0.1, 4)  # the node fell below epsilon: this prune folds it
+
+
 def test_advance_fully_consumed_leaf_dies():
     tree = build_tree((), ps_of(("a", 0.6, "ta"), ("a b", 0.3, "tb")))
     advance(tree, "a")
@@ -139,11 +167,11 @@ def test_expand_scales_children_to_node_mass():
 def test_expand_depth_cap_is_noop():
     # the engine expands only what expandable_leaves returns
     tree = build_tree((), prediction_set([Prediction(("a",), 1.0, ("t",))]))
-    advance(tree, "a")
+    frontier = advance(tree, "a").frontier
     node = next(n for n in tree.leaves() if not n.is_other)
     assert node.depth == 1
-    assert expandable_leaves(tree, max_depth=1) == []
-    assert expandable_leaves(tree, max_depth=2) == [node]
+    assert expandable_leaves(frontier, max_depth=1) == []
+    assert expandable_leaves(frontier, max_depth=2) == [node]
 
 
 def test_expand_two_rounds_gives_product_masses():
@@ -311,7 +339,7 @@ def mutate_tree(tree, rng):
         token = _some_token(tree, rng)
         advance(tree, token)
     elif op == 1:
-        leaves = expandable_leaves(tree, max_depth=3)
+        leaves = expandable_leaves(tree.leaves(), max_depth=3)
         if leaves:
             node = rng.choice(leaves)
             ps = random_ps(rng) if rng.random() < 0.8 else None
@@ -385,17 +413,25 @@ def picked_token(tree, pick):
     return frontier[pick % len(frontier)] if frontier else "zz"
 
 
+def advanced(tree, token):
+    """advance, checking that the frontier it hands back is the tree's
+    leaves, by identity and in walk order."""
+    out = advance(tree, token)
+    assert [id(n) for n in out.frontier] == [id(n) for n in tree.leaves()]
+    return out
+
+
 def apply_operation(tree, op, data):
     if op[0] == "advance":
-        advance(tree, picked_token(tree, op[1]))
+        advanced(tree, picked_token(tree, op[1]))
     elif op[0] == "follow":
         frontier = [n for n in tree.walk() if not n.is_other and not n.consumed]
         if frontier:
             node = frontier[op[1] % len(frontier)]
             for token in node.edge[node.edge_pos:]:
-                advance(tree, token)
+                advanced(tree, token)
     elif op[0] == "expand":
-        leaves = expandable_leaves(tree, max_depth=3)
+        leaves = expandable_leaves(tree.leaves(), max_depth=3)
         if leaves:
             node = leaves[op[1] % len(leaves)]
             entries = {} if op[2] else {node.edge: data.draw(prediction_sets())}
@@ -433,6 +469,24 @@ def test_advance_matches_bruteforce_bayes(ps, ops, pick, data):
             assert abs(got[leaf_id] - mass) <= 1e-9
 
 
+@TREE_PROPERTY
+@given(prediction_sets(), st.lists(OPERATIONS, max_size=8),
+       st.lists(TOKEN_PICKS, min_size=1, max_size=8),
+       st.sampled_from([0.0, 0.02, 0.1]), st.integers(1, 5), st.data())
+def test_an_advance_that_moved_nothing_leaves_a_pruned_tree_pruned(ps, ops, picks,
+                                                                  epsilon, k, data):
+    # the session skips prune on such a tick
+    tree = build_tree((), ps)
+    for op in ops:
+        apply_operation(tree, op, data)
+    prune(tree, epsilon, k)
+    for pick in picks:
+        if advanced(tree, picked_token(tree, pick)).moved:
+            prune(tree, epsilon, k)
+        else:
+            assert not prune(tree, epsilon, k)
+
+
 def test_tree_operations_and_a_replay_leave_no_cyclic_garbage(
         shopping_backend, shopping_table, shopping_transcript):
     backend = FixedBackend({("a",): ps_of(("p", 0.5, "tp"), ("q", 0.3, "tq"))})
@@ -441,8 +495,7 @@ def test_tree_operations_and_a_replay_leave_no_cyclic_garbage(
     try:
         tree = build_tree((), prediction_set(
             [Prediction(("a",), 0.5, ("ta",)), Prediction(("b",), 0.3, ("tb",))]))
-        advance(tree, "a")
-        for node in expandable_leaves(tree, 3):
+        for node in expandable_leaves(advance(tree, "a").frontier, 3):
             expand(tree, node, backend, CTX, ("a",), 4)
         advance(tree, "p")
         prune(tree, 0.2, 1)
