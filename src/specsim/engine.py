@@ -3,15 +3,17 @@
 Each observed token advances the prediction tree; matches refresh the
 consensus template and emit newly fixed tokens, divergences trigger
 re-prediction on the full observed prefix, buffer overflow triggers a direct
-catch-up translation, and a periodic perplexity check flags context drift.
+catch-up translation, and a perplexity check each time the observed prefix
+reaches or passes a multiple of the drift window flags context drift.
 Emission is append-only: committed output is never retracted.
 
 A hit tick expands from the frontier `advance` hands back, without walking
 the tree again. It prunes only when a prune may fold something: after a
 tree is built (at the start, on re-predict and on catch-up), after an
-expansion, and after an advance that removed a node or moved a mass. A
-second prune of an unchanged tree changes nothing, so the skipped ones would
-not change the log either.
+expansion, and after an advance that left a named node with less mass. A
+prune of a tree whose named nodes only gained mass and lost siblings since
+the last prune changes nothing, so the skipped ones would not change the log
+either.
 
 `session.events` is the session's only record: each event is appended as
 it happens, `deliver`, `step`, `catchup` and `finalize` return the events
@@ -95,6 +97,7 @@ class Session:
         self.aux: tuple[str, ...] | None = None
         self.last_t = 0
         self.finalized = False
+        self._next_drift = config.drift_window  # observed length of the next check
         self.tree: PredictionTree
         self._new_tree()
         self._baseline_ppl = self._context_perplexity()
@@ -191,9 +194,13 @@ class Session:
         self._drift_check(t_ms)
 
     def _drift_check(self, t_ms: int):
+        """Check the last drift window once the observed prefix reaches or
+        passes the next multiple of it, so a catch-up skips no check."""
         cfg = self.config
-        if len(self.observed) % cfg.drift_window != 0 or self._baseline_ppl is None:
+        n = len(self.observed)
+        if n < self._next_drift or self._baseline_ppl is None:
             return
+        self._next_drift = (n // cfg.drift_window + 1) * cfg.drift_window
         window = tuple(self.observed[-cfg.drift_window:])
         ppl = self.backend.perplexity(window)  # type: ignore[attr-defined]
         if ppl / self._baseline_ppl <= cfg.drift_ratio:
@@ -238,7 +245,8 @@ def feed(session: Session, ev: TokenEvent) -> list[OutputEvent]:
 
 def catchup(session: Session) -> list[OutputEvent]:
     """Drain the buffer, bypassing speculation: translate the span directly,
-    commit it into the hole, re-anchor the tree at the new full prefix."""
+    commit it into the hole, run the drift check the span may have passed,
+    re-anchor the tree at the new full prefix."""
     if not session.buffer:
         raise ValueError("catch-up requires a non-empty buffer")
     n = len(session.events)
@@ -250,6 +258,7 @@ def catchup(session: Session) -> list[OutputEvent]:
     session.template = extend_into_hole(session.template,
                                         translate(session.table, span))
     session._emit(t_ms)
+    session._drift_check(t_ms)  # before the tree is predicted again, with its aux
     session._new_tree()
     return session.events[n:]
 

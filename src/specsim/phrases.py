@@ -2,7 +2,7 @@
 
 Doubles as the idiom glossary: entries flagged atomic mark target spans that
 must be emitted as one unit. Tables are immutable after load and safe for
-concurrent reads.
+concurrent reads; the idiom index is built on first use and dropped by `add`.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ class PhraseTable:
         self._entries: dict[tuple[str, ...], tuple[str, ...]] = {}
         self._atomic: set[tuple[str, ...]] = set()
         self._by_first: dict[str, list[int]] = {}
+        self._idioms: dict[str, list[tuple[str, ...]]] | None = None
         self.max_source_len = 1
         if entries:
             atomic_keys = {tuple(a) for a in atomic}
@@ -48,6 +49,7 @@ class PhraseTable:
         if not all(isinstance(t, str) and t for t in src + tgt):
             raise ValueError(f"blank token in entry {src!r} -> {tgt!r}")
         self._entries[src] = tgt
+        self._idioms = None
         if atomic:
             self._atomic.add(src)
         else:
@@ -71,6 +73,15 @@ class PhraseTable:
         """Target sides of atomic entries, longest first then lexicographic."""
         targets = {self._entries[src] for src in self._atomic if self._entries[src]}
         return sorted(targets, key=lambda t: (-len(t), t))
+
+    def _idiom_index(self) -> dict[str, list[tuple[str, ...]]]:
+        """atomic_targets() by first token, longest first; kept until `add`."""
+        if self._idioms is None:
+            by_first: dict[str, list[tuple[str, ...]]] = {}
+            for t in self.atomic_targets():
+                by_first.setdefault(t[0], []).append(t)
+            self._idioms = by_first
+        return self._idioms
 
     def match_at(self, source: Sequence[str], pos: int) -> tuple[str, ...] | None:
         """Longest entry source matching at pos, or None."""
@@ -108,12 +119,9 @@ def translate(table: PhraseTable, source: Sequence[str]) -> tuple[str, ...]:
 
 def idiom_spans(table: PhraseTable, target: Sequence[str]) -> list[IdiomSpan]:
     """All maximal non-overlapping occurrences of atomic targets, leftmost-longest."""
-    targets = table.atomic_targets()
-    if not targets:
+    by_first = table._idiom_index()
+    if not by_first:
         return []
-    by_first: dict[str, list[tuple[str, ...]]] = {}
-    for t in targets:
-        by_first.setdefault(t[0], []).append(t)
     spans: list[IdiomSpan] = []
     pos = 0
     n = len(target)
@@ -169,9 +177,11 @@ class StreamTranslation:
     committed only once no longer table entry could still start at or
     before the scan position (the pending window keeps the last
     max_source_len - 1 tokens open), so later tokens never change it.
-    `preview` translates the pending tokens plus a hypothetical continuation
-    without committing; it reuses one tuple of `out`, rebuilt only after
-    `out` has grown. Every call must pass the same table.
+    `split` returns the committed target as a tuple, rebuilt only after `out`
+    has grown, and the pending source tokens src[pos:], so the translation
+    of the stream plus any continuation is the committed tuple plus
+    translate(pending + continuation); `preview` computes that without
+    committing. Every call must pass the same table.
     """
 
     __slots__ = ("src", "pos", "out", "_out_tuple")
@@ -190,11 +200,16 @@ class StreamTranslation:
         self.pos = _scan(table, src, self.pos, len(src) - (table.max_source_len - 1),
                          self.out)
 
-    def preview(self, table: PhraseTable, continuation: Sequence[str]) -> tuple[str, ...]:
-        """Translation of the full stream plus continuation; does not commit."""
+    def split(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The committed target tuple and the pending (unscanned) source tokens."""
         if len(self._out_tuple) != len(self.out):
             self._out_tuple = tuple(self.out)
-        return self._out_tuple + translate(table, self.src[self.pos:] + list(continuation))
+        return self._out_tuple, tuple(self.src[self.pos:])
+
+    def preview(self, table: PhraseTable, continuation: Sequence[str]) -> tuple[str, ...]:
+        """Translation of the full stream plus continuation; does not commit."""
+        out, pending = self.split()
+        return out + translate(table, pending + tuple(continuation))
 
     def finish(self, table: PhraseTable) -> tuple[str, ...]:
         return self.preview(table, ())

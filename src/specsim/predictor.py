@@ -5,9 +5,10 @@ full-continuation hypotheses with probabilities and target translations.
 Residual probability mass (1 - sum of reported p) models the continuations
 the backend did not enumerate. Predict calls are deterministic. The scripted
 and remote backends are immutable after construction. NgramBackend keeps no
-per-stream state, only a continuation memo that changes its speed but never
-its results, so one instance serves any number of sessions; it translates
-from the stream of a session's current PrefixView when it can.
+per-stream state, only a memo of ranked continuations and their translated
+tails that changes its speed but never its results, so one instance serves
+any number of sessions; it translates from the stream of a session's current
+PrefixView when it can.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from .ngram import END, NgramModel
-from .phrases import PhraseTable, PrefixView, StreamTranslation
+from .phrases import PhraseTable, PrefixView, StreamTranslation, translate
 from .stream import ContextDoc
 
 _EPS = 1e-9
@@ -59,7 +60,8 @@ class Prediction:
 @dataclass(frozen=True, slots=True)
 class PredictionSet:
     """Ranked hypotheses (p descending, ties lexicographic) plus residual
-    mass; built only by prediction_set, which checks it."""
+    mass. prediction_set builds and checks it; NgramBackend also rebuilds
+    one from a set prediction_set checked, with the translations filled in."""
 
     items: tuple[Prediction, ...]
     other_mass: float
@@ -183,9 +185,11 @@ def load_scripted_fixture(text: str) -> ScriptedBackend:
     return ScriptedBackend(entries)
 
 
-# Bound on NgramBackend's LRU continuation memo. A `sentences` benchmark round
-# (seed 1, warm-up included) fills 1,079 entries and `monologue` 133, so the
-# cap evicts only under many more distinct histories, as unknown tokens make.
+# Bound on NgramBackend's LRU continuation memo. An entry holds one ranked set
+# of at most k hypotheses and at most `order` lists of their translated tails.
+# A `sentences` benchmark round (seed 1, warm-up included) fills 1,079 entries
+# and `monologue` 133, so the cap evicts only under many more distinct
+# histories, as unknown tokens make.
 ENUM_CACHE_SIZE = 4096
 
 
@@ -194,11 +198,20 @@ class NgramBackend:
 
     Continuation search depends only on the last order-1 prefix tokens and is
     memoized on them (at most ENUM_CACHE_SIZE entries, least recently used
-    evicted); the memo is all the state the backend keeps. Hypothesis
-    translation reads the caller's stream when the prefix is a current
-    PrefixView over this backend's own table (a session's re-prediction), so
-    a predict costs O(new tokens + k * |translation|); any other prefix is
-    translated from scratch in O(len(prefix) + k * |translation|).
+    evicted); the memo is all the state the backend keeps. An entry holds the
+    checked, ranked set the search gave and the translated tails of its
+    hypotheses: the translation of the stream's pending tokens plus the
+    hypothesis, keyed by those pending tokens. Tails are kept only for fewer
+    than `order` pending tokens, which are then a suffix of the entry's
+    history, so an entry holds at most `order` tail lists.
+
+    The stream is the caller's when the prefix is a current PrefixView over
+    this backend's own table (a session's re-prediction), and scanning it
+    costs O(new tokens); any other prefix is translated from scratch in
+    O(len(prefix)). A hypothesis's translation is the stream's committed
+    tuple plus its tail, so with the tails kept a predict then costs
+    O(k * |translation|) for those concatenations; otherwise each tail is
+    translated too.
     """
 
     def __init__(self, model: NgramModel, table: PhraseTable, max_len: int = 12):
@@ -207,22 +220,26 @@ class NgramBackend:
         self.model = model
         self.table = table
         self.max_len = max_len
-        self._enum_cache: OrderedDict[tuple, list] = OrderedDict()  # key -> [(cont, p)]
+        # key -> (ranked set with empty translations, {pending tokens: tails})
+        self._enum_cache: OrderedDict[
+            tuple, tuple[PredictionSet, dict[tuple[str, ...], tuple]]] = OrderedDict()
 
     def predict(self, context: ContextDoc, prefix: Sequence[str], k: int,
                 aux: Sequence[str] | None = None) -> PredictionSet:
         key = (self.model.history(prefix), k, self.max_len)
         cache = self._enum_cache
-        conts = cache.get(key)
-        if conts is None:
+        entry = cache.get(key)
+        if entry is None:
             # a product of tiny conditionals can underflow to p = 0: drop it
-            conts = [(cont, p) for cont, p in
-                     self.model.continuations(prefix, k, self.max_len) if p > 0]
-            cache[key] = conts
+            ranked = prediction_set(
+                Prediction(cont, p, ()) for cont, p in
+                self.model.continuations(prefix, k, self.max_len) if p > 0)
+            entry = cache[key] = (ranked, {})
             if len(cache) > ENUM_CACHE_SIZE:
                 cache.popitem(last=False)
         else:
             cache.move_to_end(key)
+        ranked, tails_by_pending = entry
         if (isinstance(prefix, PrefixView) and prefix.table is self.table
                 and prefix.is_current()):
             stream = prefix.stream
@@ -230,11 +247,16 @@ class NgramBackend:
         else:
             stream = StreamTranslation()
             stream.extend(self.table, prefix)
-        items = [Prediction(cont, p,
-                            stream.preview(self.table,
-                                           cont[:-1] if cont and cont[-1] == END else cont))
-                 for cont, p in conts]
-        return prediction_set(items)
+        out, pending = stream.split()
+        tails = tails_by_pending.get(pending)
+        if tails is None:
+            tails = tuple(translate(self.table, pending + pr.source_tokens)
+                          for pr in ranked.items)
+            if len(pending) < self.model.order:
+                tails_by_pending[pending] = tails
+        return PredictionSet(tuple(Prediction(pr.continuation, pr.p, out + tail)
+                                   for pr, tail in zip(ranked.items, tails)),
+                             ranked.other_mass)
 
     def perplexity(self, window: Sequence[str]) -> float:
         return self.model.perplexity(window)

@@ -10,8 +10,8 @@ probability. Observation consumes edge tokens one at a time; survivors
 are renormalized Bayes-style on their prior masses.
 
 `advance` hands back the frontier it visited, so its caller finds the
-leaves to expand without another walk, and says whether anything `prune`
-reads has moved, so its caller can skip a `prune` that would change nothing.
+leaves to expand without another walk, and says whether a named node lost
+mass, so its caller can skip a `prune` that would change nothing.
 
 Two invariants hold for every tree these functions build or change:
 - every internal node has exactly one "other" child, a leaf that absorbs
@@ -99,7 +99,7 @@ class MatchOutcome:
 
     diverged: bool
     changed: bool  # any subtree removed or leaf masses renormalized
-    moved: bool  # changed, or an internal node re-summed to a new mass
+    moved: bool  # a named node below the root ended with less mass
     frontier: list[TreeNode]  # the surviving leaves, in walk order
 
 
@@ -124,20 +124,17 @@ def build_tree(prefix: Sequence[str], ps: PredictionSet | None) -> PredictionTre
 
 
 def _consume(node: TreeNode, token: str, leaves: list[TreeNode],
-             inner: list[TreeNode]) -> tuple[bool, bool]:
+             inner: list[tuple[TreeNode, float]]) -> bool:
     """Advance the subtree under `node` by one token, appending its surviving
-    leaves and internal nodes. Sets `node`'s mass to the sum of its surviving
-    children and returns whether any node was removed, and whether an
-    internal node below `node` now has a different mass."""
+    leaves, and its internal nodes with their masses before. Sets `node`'s
+    mass to the sum of its surviving children and returns whether any node
+    was removed."""
     kept = []
-    removed = moved = False
+    removed = False
     for c in node.children:
         if c.children:  # consumed; its other survives, so it does too
-            mass = c.path_p
-            r, m = _consume(c, token, leaves, inner)
-            removed = removed or r
-            moved = moved or m or c.path_p != mass
-            inner.append(c)
+            inner.append((c, c.path_p))
+            removed = _consume(c, token, leaves, inner) or removed
         elif not c.is_other:
             if c.edge_pos == len(c.edge) or c.edge[c.edge_pos] != token:
                 continue
@@ -150,7 +147,7 @@ def _consume(node: TreeNode, token: str, leaves: list[TreeNode],
         node.children = kept
         removed = True
     node.path_p = math.fsum(c.path_p for c in kept)
-    return removed, moved
+    return removed
 
 
 def advance(tree: PredictionTree, token: str) -> MatchOutcome:
@@ -164,12 +161,15 @@ def advance(tree: PredictionTree, token: str) -> MatchOutcome:
 
     The outcome's frontier is the tree's leaves, `list(tree.leaves())`,
     collected by this one visit. It stays exact until the tree is next
-    expanded or pruned. With `moved` false no node was removed and no named
-    node's mass changed, so a pruned tree is still pruned.
+    expanded or pruned. `moved` is false when no named node below the root
+    ended with less mass than it had. Sibling sets only shrink, so then
+    every named node at or above epsilon still is, and a pruned tree is
+    still pruned. Leaves lose mass only if the survivors summed above 1, so
+    on a tree without internal nodes an advance practically never moves.
     """
     leaves: list[TreeNode] = []
-    inner: list[TreeNode] = []
-    removed, moved = _consume(tree.root, token, leaves, inner)
+    inner: list[tuple[TreeNode, float]] = []
+    removed = _consume(tree.root, token, leaves, inner)
 
     if all(n.is_other for n in leaves):
         tree.root = TreeNode(False, (), 1.0, None, False, 0)
@@ -183,11 +183,14 @@ def advance(tree: PredictionTree, token: str) -> MatchOutcome:
         inv = 1.0 / s
         for n in leaves:
             n.path_p *= inv
-        for n in inner:
+        for n, _ in inner:
             n.path_p *= inv
         tree.root.path_p = 1.0
-    changed = removed or scaled
-    return MatchOutcome(False, changed, changed or moved, leaves)
+    moved = scaled and s > 1.0
+    for n, mass in inner:
+        if n.path_p < mass:
+            moved = True
+    return MatchOutcome(False, removed or scaled, moved, leaves)
 
 
 def expand(tree: PredictionTree, node: TreeNode, backend: Backend,

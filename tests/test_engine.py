@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specsim import engine
 from specsim.engine import (OutOfOrderToken, catchup, deliver, feed, finalize,
                             start_session, step)
 from specsim.metrics import compute_report
@@ -181,12 +182,12 @@ def test_replay_repeated_bursts_fire_repeated_catchups(shopping_backend,
 # -- context drift --------------------------------------------------------------
 
 
-def drift_session(body, window=4, ratio=2.0):
+def drift_session(body, window=4, ratio=2.0, buffer_limit=32):
     corpus = [["a", "b", "c", "d"], ["a", "b", "c", "e"], ["b", "c", "d", "e"]]
     model = train_ngram(corpus, 2, alpha=0.1)
     table = PhraseTable()
     backend = NgramBackend(model, table, max_len=4)
-    cfg = EngineConfig(drift_window=window, drift_ratio=ratio, buffer_limit=32)
+    cfg = EngineConfig(drift_window=window, drift_ratio=ratio, buffer_limit=buffer_limit)
     return start_session(cfg, ContextDoc("c", tuple(body)), backend, table)
 
 
@@ -207,6 +208,30 @@ def test_drift_shift_on_out_of_domain_window():
     assert len(shifts) == 1
     assert kinds(s.events).count("context_shift") == 1
     assert s.aux == ("q", "q", "q", "q")
+
+
+def test_a_catchup_runs_the_drift_check_it_jumps_over():
+    body = ["a", "b", "c", "d", "a", "b", "c", "e"]
+    events = [TokenEvent(i, tok, i) for i, tok in enumerate(["a"] + ["q"] * 11)]
+    real_time = drift_session(body, buffer_limit=4)
+    for ev in events:
+        feed(real_time, ev)
+    assert kinds(real_time.events).count("context_shift") == 3
+
+    burst = drift_session(body, buffer_limit=4)
+    feed(burst, events[0])
+    asked = []
+    predict = burst.backend.predict
+    burst.backend.predict = lambda ctx, prefix, k, aux=None: (
+        asked.append((len(prefix), aux)) or predict(ctx, prefix, k, aux))
+    out = []
+    for ev in events[1:6]:  # the fifth overfills the buffer: a catch-up to 6
+        out += deliver(burst, ev)
+    assert kinds(out)[0] == "catchup" and kinds(out).count("context_shift") == 1
+    assert asked == [(6, ("q",) * 4)]  # the new tree is predicted with the aux
+    for ev in events[6:]:
+        feed(burst, ev)
+    assert kinds(burst.events).count("context_shift") == 3
 
 
 def test_drift_never_fires_for_scripted_backend(shopping_backend, shopping_table,
@@ -395,6 +420,57 @@ def test_a_hit_tick_leaves_the_tree_pruned():
         assert not any(e.kind == "diverge" for e in feed(session, ev))
         assert not prune(session.tree, 0.1, 4)
     assert [n.edge for n in session.tree.root.children] == [("a", "b", "c"), ()]
+
+
+def test_an_expanded_node_that_loses_a_child_is_folded_on_the_hit_tick():
+    # "a" is expanded with every child above epsilon, so that tick's prune
+    # folds nothing; "c" then kills "b", the expanded node falls below
+    # epsilon, and that hit tick must prune it away.
+    backend = ScriptedBackend({
+        ("ctx", ()): [Prediction(("a",), 0.3, ("ta",)),
+                      Prediction(("a", "c", END), 0.6, ("tc",))],
+        ("ctx", ("a",)): [Prediction(("b", END), 0.9, ("ta", "tb"))],
+    })
+    session = start_session(EngineConfig(k=4, d=2, epsilon=0.1), ContextDoc("ctx"),
+                            backend, PhraseTable())
+    events = transcript_from_tokens(["a", "c", "z"]).events
+    feed(session, events[0])
+    node = session.tree.root.children[1]
+    assert [c.edge for c in node.children] == [("b",), ()]
+    feed(session, events[1])
+    assert "diverge" not in kinds(session.events)
+    assert [n.edge for n in session.tree.root.children] == [("a", "c"), ()]
+    assert not prune(session.tree, 0.1, 4)
+
+
+def test_prune_follows_only_a_build_on_trees_without_internal_nodes(monkeypatch):
+    # d=1 never expands, and an advance of a flat tree only removes leaves
+    # and scales the rest up, so a second prune on one tree would be a no-op
+    calls = []
+    build, prune_ = engine.build_tree, engine.prune
+
+    def built(prefix, ps):
+        calls.append("build")
+        return build(prefix, ps)
+
+    def pruned(tree, epsilon, k):
+        calls.append("prune")
+        return prune_(tree, epsilon, k)
+
+    monkeypatch.setattr(engine, "build_tree", built)
+    monkeypatch.setattr(engine, "prune", pruned)
+    rng = random.Random(3)
+    vocab = ["a", "b", "c", "d"]
+    model = train_ngram([[rng.choice(vocab) for _ in range(rng.randint(3, 8))]
+                         for _ in range(12)], 3)
+    table = PhraseTable({("a", "b"): ("AB",)})
+    backend = NgramBackend(model, table, max_len=3)
+    for _ in range(20):
+        tokens = [rng.choice(vocab) for _ in range(rng.randint(4, 12))]
+        session = session_for(backend, table, k=3, d=1, epsilon=0.05)
+        replay(transcript_from_tokens(tokens), session)
+    assert calls.count("prune") > 20
+    assert all(calls[i - 1] == "build" for i, c in enumerate(calls) if c == "prune")
 
 
 def test_divergence_soundness_events_match_counters():

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import threading
+import unittest.mock
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -193,6 +194,53 @@ def test_ngram_backend_same_answer_for_every_kind_of_prefix():
             assert current.is_current() and not stale.is_current()
             if n < len(tokens):
                 live.src.append(tokens[n])  # appended, not scanned
+
+
+MEMO_VOCAB = ["a", "b", "c", "d"]
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(MEMO_VOCAB), min_size=1, max_size=6),
+                min_size=1, max_size=6),
+       st.integers(1, 3), st.integers(1, 4),
+       st.dictionaries(st.lists(st.sampled_from(MEMO_VOCAB), min_size=2,
+                                max_size=3).map(tuple),
+                       st.lists(st.sampled_from("XYZ"), max_size=2),
+                       min_size=1, max_size=4),
+       st.sampled_from([1, 2, 3, 4096]),
+       st.lists(st.tuples(st.sampled_from(MEMO_VOCAB + ["zz"]), st.integers(1, 5),
+                          st.sampled_from(["current", "stale", "tuple"])),
+                min_size=1, max_size=25))
+def test_a_memo_hit_equals_a_cold_search(corpus, order, max_len, entries, cache_size,
+                                         queries):
+    """A backend that has served earlier prefixes, and evicted some of them,
+    answers as a fresh one does. Entries of two and three source tokens
+    leave pending tokens in the stream, so the memo keys tails by them."""
+    model = train_ngram(corpus, order)
+    table = PhraseTable({(w,): (w.upper(),) for w in MEMO_VOCAB})
+    for src, tgt in entries.items():
+        table.add(src, tgt)
+    with unittest.mock.patch.object(predictor, "ENUM_CACHE_SIZE", cache_size):
+        warm = NgramBackend(model, table, max_len=max_len)
+        live = StreamTranslation()
+        for token, k, kind in queries:
+            live.src.append(token)  # appended, not scanned
+            prefix = tuple(live.src)
+            if kind == "current":
+                view = PrefixView(live, table)
+            elif kind == "stale":
+                stream = StreamTranslation()
+                stream.extend(table, prefix)
+                view = PrefixView(stream, table)
+                stream.extend(table, ["d", "c"])
+            else:
+                view = prefix
+            cold = NgramBackend(model, table, max_len=max_len).predict(CTX, prefix, k)
+            assert all(pr.translation == translate(table, prefix + pr.source_tokens)
+                       for pr in cold.items)
+            assert warm.predict(CTX, view, k) == cold
+            assert len(warm._enum_cache) <= cache_size
+            assert all(len(tails) <= order for _, tails in warm._enum_cache.values())
 
 
 def test_ngram_backend_never_raises_no_prediction():

@@ -112,17 +112,21 @@ def test_advance_renormalises_after_removing_a_tiny_mass():
     assert tree.total_mass() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_advance_moves_when_an_internal_node_resums_to_a_new_mass():
-    backend = FixedBackend({("a",): ps_of(("b c", 0.6, "tb"))})
+def test_advance_moves_only_when_an_internal_node_loses_mass():
+    backend = FixedBackend({("a",): ps_of(("b c d", 0.6, "tb"))})
     tree = build_tree((), prediction_set([Prediction(("a",), 1.0, ("ta",))]))
     advance(tree, "a")
     node = tree.root.children[0]
     expand(tree, node, backend, CTX, ("a",), 4)
-    node.path_p = 0.3  # below its children's 0.6 + 0.4: prune reads this mass
+    node.path_p = 0.3  # below its children's 0.6 + 0.4: a gain folds nothing
     out = advance(tree, "b")  # every leaf survives, their masses still sum to 1
+    assert not out.changed and not out.moved
+    assert node.path_p == 1.0
+    node.path_p = 1.5  # above them: a loss may leave a node below epsilon
+    out = advance(tree, "c")
     assert not out.changed and out.moved
     assert node.path_p == 1.0
-    assert not advance(tree, "c").moved  # the others survive; nothing re-sums
+    assert not advance(tree, "d").moved  # the others survive; nothing re-sums
 
 
 def test_an_advance_below_an_expansion_keeps_walk_order_and_can_leave_a_fold():
