@@ -299,8 +299,7 @@ def _final_translation(session: Session) -> tuple[str, ...]:
     consumed, else the direct translation of the observed source."""
     best: tuple[float, tuple[str, ...]] | None = None
     for node in session.tree.leaves():
-        if (node.is_other or not node.terminal or not node.consumed
-                or node.translation is None):
+        if node.is_other or not node.terminal or not node.consumed:
             continue
         key = (-node.path_p, node.translation)
         if best is None or key < best:

@@ -32,8 +32,9 @@ class NgramModel:
     """Raw occurrence counts for every history length up to order - 1.
 
     ValueError unless order is an int >= 1, alpha a finite number > 0, each
-    vocab token a non-empty str and each count an int >= 0 for a token in
-    vocab or END (any other would take mass from the conditionals).
+    vocab token a non-empty str other than START (the history padding) and
+    each count an int >= 0 for a token in vocab or END (any other would take
+    mass from the conditionals). END may be in vocab, as to_json writes it.
     """
 
     def __init__(self, order: int, alpha: float, vocab: Iterable[str],
@@ -47,6 +48,8 @@ class NgramModel:
         vocab = tuple(vocab)
         if not all(isinstance(t, str) and t for t in vocab):
             raise ValueError("vocab tokens must be non-empty strings")
+        if START in vocab:
+            raise ValueError(f"vocab may not hold the start symbol {START!r}")
         known = set(vocab) | {END}
         totals = {}
         for h, row in counts.items():
@@ -196,12 +199,17 @@ class NgramModel:
 
 def train_ngram(corpus: Sequence[Sequence[str]], order: int,
                 alpha: float = 0.1) -> NgramModel:
-    """Count-based training; sentences are start-padded and END-terminated."""
+    """Count-based training; sentences are start-padded and END-terminated.
+    ValueError on a sentence that holds START or END itself, which the
+    counts could not tell from the padding and the utterance end."""
     if not corpus:
         raise EmptyCorpus("no sentences in corpus")
     counts: dict[tuple[str, ...], dict[str, int]] = {}
     vocab: set[str] = set()
-    for sent in corpus:
+    for n, sent in enumerate(corpus, start=1):
+        clash = {START, END}.intersection(sent)
+        if clash:
+            raise ValueError(f"sentence {n} holds the reserved symbol {min(clash)}")
         vocab.update(sent)
         seq = [START] * (order - 1) + list(sent) + [END]
         for i in range(order - 1, len(seq)):

@@ -1,8 +1,8 @@
 """Deterministic phrase-table translation with longest-match-leftmost scanning.
 
 Doubles as the idiom glossary: entries flagged atomic mark target spans that
-must be emitted as one unit. Tables are immutable after load and safe for
-concurrent reads; the idiom index is built on first use and dropped by `add`.
+must be emitted as one unit. A table is built once and never changes, so it
+is safe for concurrent reads and whatever is derived from it stays valid.
 """
 
 from __future__ import annotations
@@ -22,43 +22,38 @@ class IdiomSpan:
 
 
 class PhraseTable:
-    """Mapping of source token spans to target token spans.
+    """Mapping of source token spans to target token spans, built once.
 
     Lookup is longest-match-first at each position, scanning left to right;
-    tokens with no matching entry pass through unchanged.
+    tokens with no matching entry pass through unchanged. The constructor
+    copies `entries` and `atomic`, so later changes to either never reach the
+    table, and raises ValueError on an empty source, a blank token on either
+    side, or an atomic source with no entry.
     """
 
     def __init__(self, entries: Mapping[Sequence[str], Sequence[str]] | None = None,
                  atomic: Iterable[Sequence[str]] = ()):
         self._entries: dict[tuple[str, ...], tuple[str, ...]] = {}
-        self._atomic: set[tuple[str, ...]] = set()
-        self._by_first: dict[str, list[int]] = {}
-        self._idioms: dict[str, list[tuple[str, ...]]] | None = None
-        self.max_source_len = 1
-        if entries:
-            atomic_keys = {tuple(a) for a in atomic}
-            for src, tgt in entries.items():
-                self.add(src, tgt, atomic=tuple(src) in atomic_keys)
-
-    def add(self, source: Sequence[str], target: Sequence[str], atomic: bool = False):
-        """Add or replace an entry, atomic or not as this call says; ValueError
-        on an empty source or a blank token."""
-        src, tgt = tuple(source), tuple(target)
-        if not src:
-            raise ValueError("empty source key")
-        if not all(isinstance(t, str) and t for t in src + tgt):
-            raise ValueError(f"blank token in entry {src!r} -> {tgt!r}")
-        self._entries[src] = tgt
-        self._idioms = None
-        if atomic:
-            self._atomic.add(src)
-        else:
-            self._atomic.discard(src)
-        lens = self._by_first.setdefault(src[0], [])
-        if len(src) not in lens:
-            lens.append(len(src))
-            lens.sort(reverse=True)
-        self.max_source_len = max(self.max_source_len, len(src))
+        for source, target in (entries or {}).items():
+            src, tgt = tuple(source), tuple(target)
+            if not src:
+                raise ValueError("empty source key")
+            if not all(isinstance(t, str) and t for t in src + tgt):
+                raise ValueError(f"blank token in entry {src!r} -> {tgt!r}")
+            self._entries[src] = tgt
+        self._atomic = {tuple(a) for a in atomic}
+        missing = self._atomic - self._entries.keys()
+        if missing:
+            raise ValueError(f"atomic source {min(missing, key=repr)!r} has no entry")
+        lengths: dict[str, set[int]] = {}
+        for src in self._entries:
+            lengths.setdefault(src[0], set()).add(len(src))
+        self._by_first = {tok: sorted(lens, reverse=True) for tok, lens in lengths.items()}
+        self.max_source_len = max(map(len, self._entries), default=1)
+        # atomic_targets() by first token, longest first
+        self._idioms: dict[str, list[tuple[str, ...]]] = {}
+        for t in self.atomic_targets():
+            self._idioms.setdefault(t[0], []).append(t)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -73,15 +68,6 @@ class PhraseTable:
         """Target sides of atomic entries, longest first then lexicographic."""
         targets = {self._entries[src] for src in self._atomic if self._entries[src]}
         return sorted(targets, key=lambda t: (-len(t), t))
-
-    def _idiom_index(self) -> dict[str, list[tuple[str, ...]]]:
-        """atomic_targets() by first token, longest first; kept until `add`."""
-        if self._idioms is None:
-            by_first: dict[str, list[tuple[str, ...]]] = {}
-            for t in self.atomic_targets():
-                by_first.setdefault(t[0], []).append(t)
-            self._idioms = by_first
-        return self._idioms
 
     def match_at(self, source: Sequence[str], pos: int) -> tuple[str, ...] | None:
         """Longest entry source matching at pos, or None."""
@@ -119,7 +105,7 @@ def translate(table: PhraseTable, source: Sequence[str]) -> tuple[str, ...]:
 
 def idiom_spans(table: PhraseTable, target: Sequence[str]) -> list[IdiomSpan]:
     """All maximal non-overlapping occurrences of atomic targets, leftmost-longest."""
-    by_first = table._idiom_index()
+    by_first = table._idioms
     if not by_first:
         return []
     spans: list[IdiomSpan] = []
@@ -143,28 +129,27 @@ def parse_phrase_table(text: str) -> PhraseTable:
     """Tab-separated entries: `source tokens<TAB>target tokens[<TAB>atomic]`;
     a source may appear on one line only. Lines end at "\n" only, so line
     numbers count as an editor counts them; a CR before it is whitespace."""
-    table = PhraseTable()
+    entries: dict[tuple[str, ...], tuple[str, ...]] = {}
+    atomic: list[tuple[str, ...]] = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) not in (2, 3):
             raise ValueError(f"line {lineno}: expected 2 or 3 tab-separated fields")
-        atomic = False
-        if len(parts) == 3:
-            flag = parts[2].strip()
-            if flag and flag != "atomic":
-                raise ValueError(f"line {lineno}: unknown flag {flag!r}")
-            atomic = flag == "atomic"
+        flag = parts[2].strip() if len(parts) == 3 else ""
+        if flag and flag != "atomic":
+            raise ValueError(f"line {lineno}: unknown flag {flag!r}")
         source = tuple(parts[0].split())
-        if source in table._entries:
+        if not source:
+            raise ValueError(f"line {lineno}: empty source key")
+        if source in entries:
             raise ValueError(f"line {lineno}: duplicate entry for source "
                              f"{' '.join(source)!r}")
-        try:
-            table.add(source, parts[1].split(), atomic=atomic)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return table
+        entries[source] = tuple(parts[1].split())
+        if flag:
+            atomic.append(source)
+    return PhraseTable(entries, atomic)
 
 
 class StreamTranslation:

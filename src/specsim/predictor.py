@@ -71,9 +71,10 @@ def prediction_set(items: Iterable[Prediction]) -> PredictionSet:
     """Check items, sort them canonically and derive the residual mass.
 
     ValueError unless every p lies in (0, 1], every continuation is a
-    non-empty sequence of non-empty str tokens and the p sum to at most
-    1 + 1e-9. Translations, as long as the utterance, are checked by the JSON
-    loaders only, so a set costs O(k * horizon)."""
+    non-empty sequence of non-empty str tokens, every translation a tuple and
+    the p sum to at most 1 + 1e-9. The tokens of translations, as long as the
+    utterance, are checked by the JSON loaders only, so a set costs
+    O(k * horizon)."""
     items = tuple(items)
     for pr in items:  # before sorting, which compares the tokens
         p, cont = pr.p, pr.continuation
@@ -81,9 +82,10 @@ def prediction_set(items: Iterable[Prediction]) -> PredictionSet:
             good = 0 < p <= 1 and cont and "" not in cont and "".join(cont)
         except TypeError:
             good = False
-        if not good:
+        if not good or not isinstance(pr.translation, tuple):
             raise ValueError(f"prediction with probability {p!r} and continuation "
-                             f"{cont!r}: needs p in (0, 1] and non-empty str tokens")
+                             f"{cont!r}: needs p in (0, 1], non-empty str tokens "
+                             f"and a tuple translation")
     ranked = tuple(sorted(items, key=lambda pr: (-pr.p, pr.continuation)))
     total = math.fsum(pr.p for pr in ranked)
     if total > 1 + _EPS:
@@ -198,7 +200,9 @@ class NgramBackend:
 
     Continuation search depends only on the last order-1 prefix tokens and is
     memoized on them (at most ENUM_CACHE_SIZE entries, least recently used
-    evicted); the memo is all the state the backend keeps. An entry holds the
+    evicted); the memo is all the state the backend keeps. Its model and its
+    table never change once built, so a memoised answer is the answer a cold
+    search would give, for as long as the backend lives. An entry holds the
     checked, ranked set the search gave and the translated tails of its
     hypotheses: the translation of the stream's pending tokens plus the
     hypothesis, keyed by those pending tokens. Tails are kept only for fewer

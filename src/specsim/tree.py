@@ -257,7 +257,6 @@ def prune(tree: PredictionTree, epsilon: float, k: int) -> bool:
 
 def leaf_hypotheses(tree: PredictionTree) -> list[tuple[tuple[str, ...], float]]:
     """Named-leaf (translation, mass) pairs, mass descending then lexicographic."""
-    out = [(n.translation, n.path_p) for n in tree.leaves()
-           if not n.is_other and n.translation is not None]
+    out = [(n.translation, n.path_p) for n in tree.leaves() if not n.is_other]
     out.sort(key=lambda h: (-h[1], h[0]))
     return out

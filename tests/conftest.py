@@ -57,21 +57,19 @@ def make_scenario(rng: random.Random, ending: str | None = None):
     n = rng.randint(3, 10)
     true = [rng.choice(vocab) for _ in range(n)]
 
-    table = PhraseTable()
-    for i, tok in enumerate(vocab):
-        table.add((tok,), (f"t{i}",))
+    entries = {(tok,): (f"t{i}",) for i, tok in enumerate(vocab)}
     for _ in range(rng.randint(0, 3)):
         start = rng.randrange(0, n)
         ln = rng.randint(2, 3)
         span = tuple(true[start:start + ln])
         if len(span) >= 2:
-            tgt = tuple(f"g{rng.randrange(50)}" for _ in range(rng.randint(1, 3)))
-            table.add(span, tgt)
+            entries[span] = tuple(f"g{rng.randrange(50)}" for _ in range(rng.randint(1, 3)))
     tail: tuple[str, ...] = ()
     if ending is not None:
         tail = (ending,)
-        table.add(tail, (ending.upper(),))
+        entries[tail] = (ending.upper(),)
         true.append(ending)
+    table = PhraseTable(entries)
 
     def make_items(prefix: tuple[str, ...]):
         remainder = tuple(true[len(prefix):])

@@ -196,9 +196,7 @@ def synthetic_workload(n_tokens=10000, seed=99):
     sentences = [[rng.choice(vocab) for _ in range(rng.randint(4, 9))]
                  for _ in range(12)]
     model = train_ngram(sentences, 3, alpha=0.1)
-    table = PhraseTable()
-    for i, tok in enumerate(vocab):
-        table.add((tok,), (f"T{i}",))
+    table = PhraseTable({(tok,): (f"T{i}",) for i, tok in enumerate(vocab)})
     toks: list[str] = []
     while len(toks) < n_tokens:
         toks.extend(rng.choice(sentences))

@@ -218,6 +218,11 @@ def test_train_empty_corpus_fails(tmp_path, capsys):
     assert run_cli("train", "--corpus", str(corpus), "--order", "2",
                    "--model", str(tmp_path / "m.json")) == 2
     assert "no sentences" in capsys.readouterr().err
+    corpus.write_text("a b c\na </s> b d\n")
+    assert run_cli("train", "--corpus", str(corpus), "--order", "2",
+                   "--model", str(tmp_path / "m.json")) == 2
+    assert "sentence 2 holds the reserved symbol </s>" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_validate_shipped_fixtures(capsys):

@@ -592,9 +592,8 @@ def test_sessions_sharing_an_ngram_backend_match_solo_runs():
         corpus = [[rng.choice(vocab) for _ in range(rng.randint(2, 8))]
                   for _ in range(6)]
         model = train_ngram(corpus, rng.randint(1, 3))
-        table = PhraseTable({(w,): (w.upper(),) for w in vocab})
-        table.add(("w0", "w1"), ("W01",))
-        table.add(("w2", "w3", "w4"), ("W234",))
+        table = PhraseTable({**{(w,): (w.upper(),) for w in vocab},
+                             ("w0", "w1"): ("W01",), ("w2", "w3", "w4"): ("W234",)})
         max_len = rng.randint(1, 3)
         shared = CountingNgramBackend(model, table, max_len=max_len)
         runs = []

@@ -12,27 +12,19 @@ from specsim.phrases import (PhraseTable, StreamTranslation, idiom_spans,
 from oracles import translate_oracle
 
 
-def table_of(entries, atomic=()):
-    t = PhraseTable()
-    atomic = {tuple(a) for a in atomic}
-    for src, tgt in entries.items():
-        t.add(src, tgt, atomic=tuple(src) in atomic)
-    return t
-
-
 def test_translate_full_sentence_entry():
-    t = table_of({("買い物", "に", "行った"): ("went", "shopping")})
+    t = PhraseTable({("買い物", "に", "行った"): ("went", "shopping")})
     assert translate(t, ["買い物", "に", "行った"]) == ("went", "shopping")
 
 
 def test_translate_empty_and_passthrough():
-    t = table_of({("a",): ("x",)})
+    t = PhraseTable({("a",): ("x",)})
     assert translate(t, []) == ()
     assert translate(t, ["q", "r"]) == ("q", "r")
 
 
 def test_translate_longest_match_wins():
-    t = table_of({("a",): ("one",), ("a", "b"): ("two",), ("a", "b", "c"): ("three",)})
+    t = PhraseTable({("a",): ("one",), ("a", "b"): ("two",), ("a", "b", "c"): ("three",)})
     assert translate(t, ["a", "b", "c"]) == ("three",)
     assert translate(t, ["a", "b", "x"]) == ("two", "x")
     assert translate(t, ["a", "x", "c"]) == ("one", "x", "c")
@@ -47,29 +39,29 @@ def test_translate_matches_bruteforce_on_random_tables():
             src = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 3)))
             tgt = tuple(rng.choice("XYZ") for _ in range(rng.randint(0, 2)))
             entries[src] = tgt
-        t = table_of(entries)
+        t = PhraseTable(entries)
         source = [rng.choice(vocab) for _ in range(rng.randint(0, 12))]
         assert translate(t, source) == translate_oracle(entries, source)
 
 
 def test_empty_source_key_rejected():
     with pytest.raises(ValueError):
-        PhraseTable().add((), ("x",))
+        PhraseTable({(): ("x",)})
 
 
 def test_idiom_span_direct_match():
-    t = table_of({("k", "b"): ("kick", "the", "bucket")}, atomic=[("k", "b")])
+    t = PhraseTable({("k", "b"): ("kick", "the", "bucket")}, atomic=[("k", "b")])
     spans = idiom_spans(t, ["he", "will", "kick", "the", "bucket", "soon"])
     assert [(s.start, s.end) for s in spans] == [(2, 5)]
 
 
 def test_idiom_spans_empty_without_atomic_entries():
-    t = table_of({("a",): ("x",)})
+    t = PhraseTable({("a",): ("x",)})
     assert idiom_spans(t, ["x", "x"]) == []
 
 
 def test_idiom_spans_two_occurrences_in_order():
-    t = table_of({("i",): ("in", "fact")}, atomic=[("i",)])
+    t = PhraseTable({("i",): ("in", "fact")}, atomic=[("i",)])
     target = ["in", "fact", "yes", "in", "fact"]
     spans = idiom_spans(t, target)
     assert [(s.start, s.end) for s in spans] == [(0, 2), (3, 5)]
@@ -78,7 +70,7 @@ def test_idiom_spans_two_occurrences_in_order():
 
 
 def test_idiom_spans_leftmost_longest():
-    t = table_of({("x",): ("a", "b"), ("y",): ("a", "b", "c")},
+    t = PhraseTable({("x",): ("a", "b"), ("y",): ("a", "b", "c")},
                  atomic=[("x",), ("y",)])
     spans = idiom_spans(t, ["a", "b", "c"])
     assert [(s.start, s.end) for s in spans] == [(0, 3)]
@@ -121,28 +113,31 @@ def test_parse_phrase_table_reads_crlf_files():
         parse_phrase_table("a\tX\r\na\tY\r\n")
 
 
-def test_add_replacing_an_entry_sets_its_atomic_flag():
-    t = PhraseTable()
-    t.add(("a", "b"), ("X", "Y"), atomic=True)
-    assert idiom_spans(t, ["X", "Y"])
-    t.add(("a", "b"), ("X", "Y"))  # a later plain entry undoes the idiom
-    assert not t.is_atomic(("a", "b"))
-    assert idiom_spans(t, ["X", "Y"]) == []
-    t.add(("a", "b"), ("Z",), atomic=True)
-    assert t.is_atomic(("a", "b")) and t.atomic_targets() == [("Z",)]
+def test_a_table_ignores_later_changes_to_what_it_was_built_from():
+    entries = {("a", "b"): ["X", "Y"], ("c",): ["Z"]}
+    atomic = [("a", "b")]
+    t = PhraseTable(entries, atomic)
+    entries[("a", "b")].append("W")
+    entries[("c", "d", "e")] = ["CDE"]
+    del entries[("c",)]
+    atomic.append(("c",))
+    atomic.remove(("a", "b"))
+    assert t.entries() == {("a", "b"): ("X", "Y"), ("c",): ("Z",)}
+    assert t.max_source_len == 2 and t.is_atomic(("a", "b")) and not t.is_atomic(("c",))
+    assert translate(t, ["a", "b", "c", "d", "e"]) == ("X", "Y", "Z", "d", "e")
+    assert [(s.start, s.end) for s in idiom_spans(t, ["Z", "X", "Y", "W"])] == [(1, 3)]
 
 
 def test_stream_translation_matches_one_shot():
     rng = random.Random(5)
     for _ in range(200):
         vocab = ["a", "b", "c", "d", "e"]
-        t = PhraseTable()
         entries = {}
         for _ in range(rng.randint(1, 10)):
             src = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 4)))
             tgt = tuple(rng.choice("UVW") for _ in range(rng.randint(0, 2)))
             entries[src] = tgt
-            t.add(src, tgt)
+        t = PhraseTable(entries)
         stream = [rng.choice(vocab) for _ in range(rng.randint(0, 25))]
         src: list[str] = []
         state = StreamTranslation(src)
@@ -161,7 +156,7 @@ def test_stream_translation_matches_one_shot():
 
 
 def test_stream_translation_output_only_grows():
-    t = table_of({("a", "b"): ("AB",), ("b",): ("B",)})
+    t = PhraseTable({("a", "b"): ("AB",), ("b",): ("B",)})
     state = StreamTranslation()
     seen = []
     for tok in ["a", "b", "a", "b", "b"]:

@@ -159,6 +159,23 @@ def test_ngram_backend_deterministic_and_cached():
     assert grown == fresh
 
 
+def test_a_warm_backend_answers_as_a_cold_one_after_its_table_source_changes():
+    """The table copies its entries, so a change to the mapping it was built
+    from reaches neither the table nor the translations a backend memoised
+    from it; only a table built anew sees the change."""
+    model = train_ngram([["a", "b", "c"], ["a", "b", "d"]], 3)
+    entries = {("a",): ("A",), ("x", "y"): ("XY",)}
+    table = PhraseTable(entries)
+    warm = NgramBackend(model, table, max_len=4)
+    before = warm.predict(CTX, ("a",), 2)
+    assert before.items[0].translation == ("A", "b", "c")
+    entries[("b", "c")] = ("BC",)
+    assert warm.predict(CTX, ("a",), 2) == before
+    assert NgramBackend(model, table, max_len=4).predict(CTX, ("a",), 2) == before
+    rebuilt = NgramBackend(model, PhraseTable(entries), max_len=4).predict(CTX, ("a",), 2)
+    assert rebuilt.items[0].translation == ("A", "BC")
+
+
 def test_ngram_backend_same_answer_for_every_kind_of_prefix():
     """A current view (whose stream the backend reads and scans), a plain
     tuple, a stale view and a view over another table all give the same
@@ -169,9 +186,8 @@ def test_ngram_backend_same_answer_for_every_kind_of_prefix():
     for _ in range(40):
         model = train_ngram([[rng.choice(vocab) for _ in range(rng.randint(2, 7))]
                              for _ in range(5)], rng.randint(1, 3))
-        table = PhraseTable({(w,): (w.upper(),) for w in vocab})
-        table.add(("a", "b"), ("AB",))
-        table.add(("b", "c", "d"), ("BCD",))
+        table = PhraseTable({**{(w,): (w.upper(),) for w in vocab},
+                             ("a", "b"): ("AB",), ("b", "c", "d"): ("BCD",)})
         other = PhraseTable({(w,): (w + "?",) for w in vocab})
         backend = NgramBackend(model, table, max_len=rng.randint(1, 4))
         k = rng.randint(1, 4)
@@ -217,9 +233,7 @@ def test_a_memo_hit_equals_a_cold_search(corpus, order, max_len, entries, cache_
     answers as a fresh one does. Entries of two and three source tokens
     leave pending tokens in the stream, so the memo keys tails by them."""
     model = train_ngram(corpus, order)
-    table = PhraseTable({(w,): (w.upper(),) for w in MEMO_VOCAB})
-    for src, tgt in entries.items():
-        table.add(src, tgt)
+    table = PhraseTable({**{(w,): (w.upper(),) for w in MEMO_VOCAB}, **entries})
     with unittest.mock.patch.object(predictor, "ENUM_CACHE_SIZE", cache_size):
         warm = NgramBackend(model, table, max_len=max_len)
         live = StreamTranslation()
