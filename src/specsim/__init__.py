@@ -13,8 +13,8 @@ from .metrics import (EmptyEmission, SessionReport, accuracy, average_lagging,
 from .ngram import EmptyCorpus, NgramModel, train_ngram
 from .phrases import IdiomSpan, PhraseTable, idiom_spans, parse_phrase_table, translate
 from .predictor import (Backend, NgramBackend, NoPrediction, Prediction,
-                        PredictionSet, RemoteBackend, ScriptedBackend,
-                        load_scripted_fixture, predict, prediction_set)
+                        RemoteBackend, ScriptedBackend, load_scripted_fixture,
+                        prediction_set, residual_mass)
 from .replay import events_to_jsonl, parse_lag_profile, replay
 from .stream import (ContextDoc, EngineConfig, IndexGap, MalformedRecord,
                      MissingFinalMarker, NonMonotonicTime, TokenEvent,
@@ -38,9 +38,9 @@ __all__ = [
     "MalformedRecord", "NonMonotonicTime", "IndexGap",
     "MissingFinalMarker",
     # predictor
-    "Prediction", "PredictionSet", "Backend", "NoPrediction", "predict",
-    "prediction_set", "ScriptedBackend", "NgramBackend", "RemoteBackend",
-    "load_scripted_fixture", "NgramModel", "train_ngram", "EmptyCorpus",
+    "Prediction", "Backend", "NoPrediction", "prediction_set", "residual_mass",
+    "ScriptedBackend", "NgramBackend", "RemoteBackend", "load_scripted_fixture",
+    "NgramModel", "train_ngram", "EmptyCorpus",
     # phrases
     "PhraseTable", "IdiomSpan", "translate", "idiom_spans", "parse_phrase_table",
     # tree

@@ -110,10 +110,10 @@ class Session:
     def _predict_tree(self) -> PredictionTree:
         prefix = self._view()  # backend query and tree anchor
         try:
-            ps = self.backend.predict(self.context, prefix, self.config.k, self.aux)
+            ranked = self.backend.predict(self.context, prefix, self.config.k, self.aux)
         except NoPrediction:
-            ps = None
-        return build_tree(prefix, ps)
+            ranked = ()
+        return build_tree(prefix, ranked)
 
     def _new_tree(self):
         """Re-anchor at the full observed prefix: commit and prune are due."""

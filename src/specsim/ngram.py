@@ -32,9 +32,11 @@ class NgramModel:
     """Raw occurrence counts for every history length up to order - 1.
 
     ValueError unless order is an int >= 1, alpha a finite number > 0, each
-    vocab token a non-empty str other than START (the history padding) and
-    each count an int >= 0 for a token in vocab or END (any other would take
-    mass from the conditionals). END may be in vocab, as to_json writes it.
+    vocab token a non-empty str other than START (the history padding), each
+    counts history at most order - 1 tokens and each count an int >= 0 for a
+    token in vocab or END (any other would take mass from the conditionals).
+    No vocab or history token holds a space, which to_json joins them with;
+    END may be in vocab, as to_json writes it.
     """
 
     def __init__(self, order: int, alpha: float, vocab: Iterable[str],
@@ -46,13 +48,16 @@ class NgramModel:
                 or not 0 < alpha <= sys.float_info.max):
             raise ValueError(f"alpha must be a finite number > 0, not {alpha!r}")
         vocab = tuple(vocab)
-        if not all(isinstance(t, str) and t for t in vocab):
-            raise ValueError("vocab tokens must be non-empty strings")
+        if not all(isinstance(t, str) and t and " " not in t for t in vocab):
+            raise ValueError("vocab tokens must be non-empty strings without a space")
         if START in vocab:
             raise ValueError(f"vocab may not hold the start symbol {START!r}")
         known = set(vocab) | {END}
         totals = {}
         for h, row in counts.items():
+            if len(h) >= order or not all(isinstance(t, str) and " " not in t for t in h):
+                raise ValueError(f"counts history {h!r} is longer than order - 1 = "
+                                 f"{order - 1} or holds a token with a space")
             if not all(type(c) is int and c >= 0 for c in row.values()):
                 raise ValueError(f"counts for history {h!r} must be integers >= 0")
             if not row.keys() <= known:

@@ -205,7 +205,7 @@ class PrefixView(Sequence[str]):
 
     O(1) to take, because the source is append-only; indexing and slicing
     cost O(slice). `table` is the phrase table the stream is translated
-    with: a consumer holding that same table may read a current view's
+    with: split_prefix, given that same table, reads a current view's
     stream (`is_current`) instead of translating the prefix itself.
     """
 
@@ -238,3 +238,17 @@ class PrefixView(Sequence[str]):
 
     def __iter__(self) -> Iterator[str]:
         return islice(self.stream.src, self._n)
+
+
+def split_prefix(table: PhraseTable, prefix: Sequence[str]
+                 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """StreamTranslation.split of prefix translated with table: from the stream
+    of a current PrefixView over that table in O(new tokens), else from
+    scratch in O(len(prefix))."""
+    if isinstance(prefix, PrefixView) and prefix.table is table and prefix.is_current():
+        stream = prefix.stream
+        stream.extend(table, ())  # scan what was appended since
+    else:
+        stream = StreamTranslation()
+        stream.extend(table, prefix)
+    return stream.split()

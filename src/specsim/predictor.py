@@ -1,14 +1,14 @@
 """Continuation prediction backends: scripted fixtures, n-gram, remote HTTP.
 
-A backend maps (context, observed source prefix, k) to a ranked set of
-full-continuation hypotheses with probabilities and target translations.
-Residual probability mass (1 - sum of reported p) models the continuations
-the backend did not enumerate. Predict calls are deterministic. The scripted
-and remote backends are immutable after construction. NgramBackend keeps no
+A backend maps (context, observed source prefix, k) to a ranked tuple of at
+most k full-continuation hypotheses with probabilities and target
+translations, as prediction_set checks and ranks them, or raises NoPrediction.
+The residual mass, 1 - sum of p (residual_mass), models the continuations the
+backend did not enumerate. Predict calls are deterministic. The scripted and
+remote backends are immutable after construction. NgramBackend keeps no
 per-stream state, only a memo of ranked continuations and their translated
 tails that changes its speed but never its results, so one instance serves
-any number of sessions; it translates from the stream of a session's current
-PrefixView when it can.
+any number of sessions.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from .ngram import END, NgramModel
-from .phrases import PhraseTable, PrefixView, StreamTranslation, translate
+from .phrases import PhraseTable, split_prefix, translate
 from .stream import ContextDoc
 
 _EPS = 1e-9
@@ -31,7 +31,7 @@ _FLOAT_MAX = sys.float_info.max  # a larger int p would overflow float()
 
 
 class NoPrediction(Exception):
-    """The backend has nothing for this prefix; callers treat it as other_mass = 1."""
+    """The backend has nothing for this prefix; callers treat it as residual mass 1."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,18 +57,8 @@ class Prediction:
         return self.continuation[:-1] if self.terminal else self.continuation
 
 
-@dataclass(frozen=True, slots=True)
-class PredictionSet:
-    """Ranked hypotheses (p descending, ties lexicographic) plus residual
-    mass. prediction_set builds and checks it; NgramBackend also rebuilds
-    one from a set prediction_set checked, with the translations filled in."""
-
-    items: tuple[Prediction, ...]
-    other_mass: float
-
-
-def prediction_set(items: Iterable[Prediction]) -> PredictionSet:
-    """Check items, sort them canonically and derive the residual mass.
+def prediction_set(items: Iterable[Prediction]) -> tuple[Prediction, ...]:
+    """Check items and rank them: p descending, ties lexicographic.
 
     ValueError unless every p lies in (0, 1], every continuation is a
     non-empty sequence of non-empty str tokens, every translation a tuple and
@@ -90,28 +80,26 @@ def prediction_set(items: Iterable[Prediction]) -> PredictionSet:
     total = math.fsum(pr.p for pr in ranked)
     if total > 1 + _EPS:
         raise ValueError(f"probabilities sum to {total:.6f} > 1")
-    return PredictionSet(ranked, max(1.0 - total, 0.0))
+    return ranked
+
+
+def residual_mass(predictions: Iterable[Prediction]) -> float:
+    """1 - the sum of p: the mass of every continuation not named, never
+    below 0 (prediction_set lets the p sum to 1 + 1e-9)."""
+    return max(1.0 - math.fsum(pr.p for pr in predictions), 0.0)
 
 
 class Backend(Protocol):
     def predict(self, context: ContextDoc, prefix: Sequence[str], k: int,
-                aux: Sequence[str] | None = None) -> PredictionSet: ...
-
-
-def predict(backend: Backend, context: ContextDoc, prefix: Sequence[str], k: int,
-            aux: Sequence[str] | None = None) -> PredictionSet:
-    """Query a backend; raises NoPrediction when it has nothing for the prefix."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return backend.predict(context, prefix, k, aux)
+                aux: Sequence[str] | None = None) -> tuple[Prediction, ...]: ...
 
 
 class ScriptedBackend:
-    """Deterministic test backend: exact (context id, prefix) -> PredictionSet,
-    built from each entry's predictions by prediction_set."""
+    """Deterministic test backend: exact (context id, prefix) -> the ranked
+    tuple prediction_set builds from the entry's predictions, cut to k."""
 
     def __init__(self, entries: Mapping[tuple[str, tuple[str, ...]], Iterable[Prediction]]):
-        self.entries: dict[tuple[str, tuple[str, ...]], PredictionSet] = {}
+        self.entries: dict[tuple[str, tuple[str, ...]], tuple[Prediction, ...]] = {}
         for (cid, prefix), items in entries.items():
             try:
                 self.entries[cid, prefix] = prediction_set(items)
@@ -124,16 +112,12 @@ class ScriptedBackend:
         return sorted({cid for cid, _ in self.entries})
 
     def predict(self, context: ContextDoc, prefix: Sequence[str], k: int,
-                aux: Sequence[str] | None = None) -> PredictionSet:
-        ps = self.entries.get((context.id, tuple(prefix)))
-        if ps is None:
+                aux: Sequence[str] | None = None) -> tuple[Prediction, ...]:
+        ranked = self.entries.get((context.id, tuple(prefix)))
+        if ranked is None:
             raise NoPrediction(f"no entry for context {context.id!r}, "
                                f"prefix of {len(tuple(prefix))} tokens")
-        return _cap(ps, k)
-
-
-def _cap(ps: PredictionSet, k: int) -> PredictionSet:
-    return ps if len(ps.items) <= k else prediction_set(ps.items[:k])
+        return ranked[:k]
 
 
 def _is_token_list(value: object) -> bool:
@@ -187,7 +171,7 @@ def load_scripted_fixture(text: str) -> ScriptedBackend:
     return ScriptedBackend(entries)
 
 
-# Bound on NgramBackend's LRU continuation memo. An entry holds one ranked set
+# Bound on NgramBackend's LRU continuation memo. An entry holds one ranked tuple
 # of at most k hypotheses and at most `order` lists of their translated tails.
 # A `sentences` benchmark round (seed 1, warm-up included) fills 1,079 entries
 # and `monologue` 133, so the cap evicts only under many more distinct
@@ -203,19 +187,19 @@ class NgramBackend:
     evicted); the memo is all the state the backend keeps. Its model and its
     table never change once built, so a memoised answer is the answer a cold
     search would give, for as long as the backend lives. An entry holds the
-    checked, ranked set the search gave and the translated tails of its
+    checked, ranked tuple the search gave and the translated tails of its
     hypotheses: the translation of the stream's pending tokens plus the
     hypothesis, keyed by those pending tokens. Tails are kept only for fewer
     than `order` pending tokens, which are then a suffix of the entry's
     history, so an entry holds at most `order` tail lists.
 
-    The stream is the caller's when the prefix is a current PrefixView over
-    this backend's own table (a session's re-prediction), and scanning it
-    costs O(new tokens); any other prefix is translated from scratch in
-    O(len(prefix)). A hypothesis's translation is the stream's committed
-    tuple plus its tail, so with the tails kept a predict then costs
-    O(k * |translation|) for those concatenations; otherwise each tail is
-    translated too.
+    split_prefix gives the prefix's committed translation and its pending
+    tokens: from the caller's stream in O(new tokens) when the prefix is a
+    current PrefixView over this backend's own table (a session's
+    re-prediction), else from scratch in O(len(prefix)). A hypothesis's
+    translation is the committed tuple plus its tail, so with the tails kept
+    a predict then costs O(k * |translation|) for those concatenations;
+    otherwise each tail is translated too.
     """
 
     def __init__(self, model: NgramModel, table: PhraseTable, max_len: int = 12):
@@ -224,12 +208,12 @@ class NgramBackend:
         self.model = model
         self.table = table
         self.max_len = max_len
-        # key -> (ranked set with empty translations, {pending tokens: tails})
-        self._enum_cache: OrderedDict[
-            tuple, tuple[PredictionSet, dict[tuple[str, ...], tuple]]] = OrderedDict()
+        # key -> (ranked tuple with empty translations, {pending tokens: tails})
+        self._enum_cache: OrderedDict[tuple, tuple[
+            tuple[Prediction, ...], dict[tuple[str, ...], tuple]]] = OrderedDict()
 
     def predict(self, context: ContextDoc, prefix: Sequence[str], k: int,
-                aux: Sequence[str] | None = None) -> PredictionSet:
+                aux: Sequence[str] | None = None) -> tuple[Prediction, ...]:
         key = (self.model.history(prefix), k, self.max_len)
         cache = self._enum_cache
         entry = cache.get(key)
@@ -244,23 +228,15 @@ class NgramBackend:
         else:
             cache.move_to_end(key)
         ranked, tails_by_pending = entry
-        if (isinstance(prefix, PrefixView) and prefix.table is self.table
-                and prefix.is_current()):
-            stream = prefix.stream
-            stream.extend(self.table, ())  # scan what was appended since
-        else:
-            stream = StreamTranslation()
-            stream.extend(self.table, prefix)
-        out, pending = stream.split()
+        out, pending = split_prefix(self.table, prefix)
         tails = tails_by_pending.get(pending)
         if tails is None:
             tails = tuple(translate(self.table, pending + pr.source_tokens)
-                          for pr in ranked.items)
+                          for pr in ranked)
             if len(pending) < self.model.order:
                 tails_by_pending[pending] = tails
-        return PredictionSet(tuple(Prediction(pr.continuation, pr.p, out + tail)
-                                   for pr, tail in zip(ranked.items, tails)),
-                             ranked.other_mass)
+        return tuple(Prediction(pr.continuation, pr.p, out + tail)
+                     for pr, tail in zip(ranked, tails))
 
     def perplexity(self, window: Sequence[str]) -> float:
         return self.model.perplexity(window)
@@ -290,7 +266,7 @@ class RemoteBackend:
         self._transport = transport
 
     def predict(self, context: ContextDoc, prefix: Sequence[str], k: int,
-                aux: Sequence[str] | None = None) -> PredictionSet:
+                aux: Sequence[str] | None = None) -> tuple[Prediction, ...]:
         body: dict = {"context_id": context.id, "prefix": list(prefix), "k": k}
         if aux:
             body["aux"] = list(aux)
@@ -302,7 +278,7 @@ class RemoteBackend:
         if status != 200:
             raise NoPrediction(f"status {status}")
         try:  # a rescale can underflow a p to 0, which prediction_set refuses
-            return _cap(prediction_set(self._parse(raw)), k)
+            return prediction_set(self._parse(raw))[:k]
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise NoPrediction(f"malformed response: {exc}") from exc
 

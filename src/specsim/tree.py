@@ -9,6 +9,10 @@ full-sentence target translation while it is a leaf, and its path
 probability. Observation consumes edge tokens one at a time; survivors
 are renormalized Bayes-style on their prior masses.
 
+A node's children are one named child per prediction of a backend's ranked
+tuple and an other child with its residual_mass, 1 - sum of p. NoPrediction
+counts as the empty tuple: the other child takes all of the node's mass.
+
 `advance` hands back the frontier it visited, so its caller finds the
 leaves to expand without another walk, and says whether a named node lost
 mass, so its caller can skip a `prune` that would change nothing.
@@ -28,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .predictor import Backend, NoPrediction, PredictionSet
+from .predictor import Backend, NoPrediction, Prediction, residual_mass
 from .stream import ContextDoc
 
 _RENORM_SKIP = 1e-12  # full survival: S is mathematically 1, skip the noisy division
@@ -103,23 +107,20 @@ class MatchOutcome:
     frontier: list[TreeNode]  # the surviving leaves, in walk order
 
 
-def _attach_predictions(node: TreeNode, ps: PredictionSet | None, scale: float,
-                        depth: int):
-    """Children from a prediction set, scaled so their masses sum to `scale`."""
-    if ps is None:
-        node.children = [_other(scale, depth)]
-        return
+def _attach_predictions(node: TreeNode, predictions: Sequence[Prediction],
+                        scale: float, depth: int):
+    """Children from ranked predictions and their residual, summing to `scale`."""
     kids = [TreeNode(False, pr.source_tokens, pr.p * scale, pr.translation,
                      pr.terminal, depth)
-            for pr in ps.items]
-    kids.append(_other(max(ps.other_mass, 0.0) * scale, depth))
+            for pr in predictions]
+    kids.append(_other(residual_mass(predictions) * scale, depth))
     node.children = kids
 
 
-def build_tree(prefix: Sequence[str], ps: PredictionSet | None) -> PredictionTree:
-    """Fresh tree anchored at prefix (not copied); ps=None yields other-only."""
+def build_tree(prefix: Sequence[str], predictions: Sequence[Prediction]) -> PredictionTree:
+    """Fresh tree anchored at prefix (not copied); no predictions: other-only."""
     tree = PredictionTree(prefix)
-    _attach_predictions(tree.root, ps, 1.0, 1)
+    _attach_predictions(tree.root, predictions, 1.0, 1)
     return tree
 
 
@@ -208,10 +209,10 @@ def expand(tree: PredictionTree, node: TreeNode, backend: Backend,
     if node.is_other or node.children or not node.consumed or node.terminal:
         return False
     try:
-        ps = backend.predict(context, prefix, k, aux)
+        ranked = backend.predict(context, prefix, k, aux)
     except NoPrediction:
-        ps = None
-    _attach_predictions(node, ps, node.path_p, node.depth + 1)
+        ranked = ()
+    _attach_predictions(node, ranked, node.path_p, node.depth + 1)
     node.translation = None
     return True
 

@@ -179,6 +179,10 @@ def test_run_remote_backend_against_local_server(tmp_path):
     pytest.param("[]", id="not-an-object"),
     pytest.param('{"order": 2, "alpha": 0.1, "vocab": [], "counts": {"a": 5}}',
                  id="count-row-not-an-object"),
+    pytest.param('{"order": 2, "alpha": 0.1, "vocab": ["a"], "counts": {"a a": {"a": 1}}}',
+                 id="history-longer-than-order"),
+    pytest.param('{"order": 2, "alpha": 0.1, "vocab": ["a b"], "counts": {}}',
+                 id="vocab-token-with-space"),
 ])
 def test_run_rejects_bad_model(tmp_path, capsys, text):
     model = tmp_path / "model.json"

@@ -31,8 +31,15 @@ def _scripted(p=0.5, cont=("x",), tr=("t",)):
     pytest.param(lambda: _model(vocab=("a", "")), id="model-blank-vocab-token"),
     pytest.param(lambda: _model(counts={(): {"a": -1}}), id="model-negative-count"),
     pytest.param(lambda: _model(vocab=("a", START)), id="model-start-symbol-in-vocab"),
+    pytest.param(lambda: _model(vocab=("a", "b c")), id="model-vocab-token-with-space"),
+    pytest.param(lambda: _model(counts={("a b",): {"a": 1}}),
+                 id="model-history-token-with-space"),
+    pytest.param(lambda: _model(counts={("a", "a"): {"a": 1}}),
+                 id="model-history-longer-than-order"),
     pytest.param(lambda: train_ngram([["a", END, "b"]], 2), id="train-end-symbol-in-corpus"),
     pytest.param(lambda: train_ngram([["a"], [START, "b"]], 2), id="train-start-symbol-in-corpus"),
+    pytest.param(lambda: train_ngram([["a b", "c"], ["a b", "d"]], 2),
+                 id="train-token-with-space"),
     pytest.param(lambda: PhraseTable({("a",): ("x", "")}), id="phrase-blank-target-token"),
     pytest.param(lambda: PhraseTable({("a", ""): ("x",)}), id="phrase-blank-source-token"),
     pytest.param(lambda: PhraseTable({("",): ("x",)}), id="phrase-blank-token-in-entries"),

@@ -18,26 +18,26 @@ from specsim.engine import start_session
 from specsim.ngram import END, train_ngram
 from specsim.phrases import PhraseTable, PrefixView, StreamTranslation, translate
 from specsim.predictor import (NgramBackend, NoPrediction, Prediction,
-                               RemoteBackend, load_scripted_fixture, predict,
-                               prediction_set)
+                               RemoteBackend, load_scripted_fixture,
+                               prediction_set, residual_mass)
 from specsim.stream import ContextDoc, EngineConfig
 
 CTX = ContextDoc("daily-life")
 
 
 def test_prediction_set_sorts_and_computes_residual():
-    ps = prediction_set([
+    ranked = prediction_set([
         Prediction(("b", END), 0.2, ("tb",)),
         Prediction(("a", END), 0.2, ("ta",)),
         Prediction(("c", END), 0.5, ("tc",)),
     ])
-    assert [pr.continuation[0] for pr in ps.items] == ["c", "a", "b"]
-    assert ps.other_mass == pytest.approx(0.1, abs=1e-12)
-    assert prediction_set(ps.items) == ps
+    assert [pr.continuation[0] for pr in ranked] == ["c", "a", "b"]
+    assert residual_mass(ranked) == pytest.approx(0.1, abs=1e-12)
+    assert prediction_set(ranked) == ranked
 
 
 def test_prediction_set_validation_flags_problems():
-    # an overweight set would leave a negative other_mass
+    # an overweight set would leave a negative residual mass
     with pytest.raises(ValueError, match="sum"):
         prediction_set([Prediction(("a",), 0.9, ()), Prediction(("b",), 0.4, ())])
     with pytest.raises(ValueError, match="continuation"):
@@ -45,24 +45,24 @@ def test_prediction_set_validation_flags_problems():
 
 
 def test_scripted_backend_shopping_prefix(shopping_backend):
-    ps = predict(shopping_backend, CTX, (), 4)
-    assert [pr.p for pr in ps.items] == [0.4, 0.3, 0.2]
-    assert ps.other_mass == pytest.approx(0.1, abs=1e-9)
-    assert ps.items[0].translation[-3:] == ("with", "my", "friend")
-    assert all(pr.terminal for pr in ps.items)
+    ps = shopping_backend.predict(CTX, (), 4)
+    assert [pr.p for pr in ps] == [0.4, 0.3, 0.2]
+    assert residual_mass(ps) == pytest.approx(0.1, abs=1e-9)
+    assert ps[0].translation[-3:] == ("with", "my", "friend")
+    assert all(pr.terminal for pr in ps)
 
 
 def test_scripted_backend_unknown_prefix_raises(shopping_backend):
     with pytest.raises(NoPrediction):
-        predict(shopping_backend, CTX, ("未知",), 4)
+        shopping_backend.predict(CTX, ("未知",), 4)
     with pytest.raises(NoPrediction):
-        predict(shopping_backend, ContextDoc("other-context"), (), 4)
+        shopping_backend.predict(ContextDoc("other-context"), (), 4)
 
 
 def test_scripted_backend_caps_items_at_k(shopping_backend):
-    ps = predict(shopping_backend, CTX, (), 2)
-    assert len(ps.items) == 2
-    assert ps.other_mass == pytest.approx(0.3, abs=1e-9)
+    ps = shopping_backend.predict(CTX, (), 2)
+    assert len(ps) == 2
+    assert residual_mass(ps) == pytest.approx(0.3, abs=1e-9)
 
 
 def test_fixture_validate_lists_violations():
@@ -121,7 +121,7 @@ def test_fixture_rejects_bad_shape(text):
 def test_fixture_accepts_edge_values():
     backend = load_scripted_fixture(_fixture_with({"cont": ["x"], "p": 1, "tr": []}))
     ps = backend.predict(ContextDoc("c"), ("a",), 4)
-    assert ps.items == (Prediction(("x",), 1.0, ()),) and ps.other_mass == 0.0
+    assert ps == (Prediction(("x",), 1.0, ()),) and residual_mass(ps) == 0.0
 
 
 def test_fixture_rejects_duplicates_and_bad_shape():
@@ -140,9 +140,9 @@ def test_ngram_backend_matches_model_and_translates():
     backend = NgramBackend(model, table, max_len=3)
     ps = backend.predict(CTX, ("a",), 2)
     want = model.continuations(("a",), 2, 3)
-    assert [pr.continuation for pr in ps.items] == [c for c, _ in want]
-    assert [pr.p for pr in ps.items] == [p for _, p in want]
-    for pr in ps.items:
+    assert [pr.continuation for pr in ps] == [c for c, _ in want]
+    assert [pr.p for pr in ps] == [p for _, p in want]
+    for pr in ps:
         src = ("a",) + pr.source_tokens
         assert pr.translation == translate(table, src)
 
@@ -168,12 +168,12 @@ def test_a_warm_backend_answers_as_a_cold_one_after_its_table_source_changes():
     table = PhraseTable(entries)
     warm = NgramBackend(model, table, max_len=4)
     before = warm.predict(CTX, ("a",), 2)
-    assert before.items[0].translation == ("A", "b", "c")
+    assert before[0].translation == ("A", "b", "c")
     entries[("b", "c")] = ("BC",)
     assert warm.predict(CTX, ("a",), 2) == before
     assert NgramBackend(model, table, max_len=4).predict(CTX, ("a",), 2) == before
     rebuilt = NgramBackend(model, PhraseTable(entries), max_len=4).predict(CTX, ("a",), 2)
-    assert rebuilt.items[0].translation == ("A", "BC")
+    assert rebuilt[0].translation == ("A", "BC")
 
 
 def test_ngram_backend_same_answer_for_every_kind_of_prefix():
@@ -251,7 +251,7 @@ def test_a_memo_hit_equals_a_cold_search(corpus, order, max_len, entries, cache_
                 view = prefix
             cold = NgramBackend(model, table, max_len=max_len).predict(CTX, prefix, k)
             assert all(pr.translation == translate(table, prefix + pr.source_tokens)
-                       for pr in cold.items)
+                       for pr in cold)
             assert warm.predict(CTX, view, k) == cold
             assert len(warm._enum_cache) <= cache_size
             assert all(len(tails) <= order for _, tails in warm._enum_cache.values())
@@ -261,7 +261,7 @@ def test_ngram_backend_never_raises_no_prediction():
     model = train_ngram([["a"]], 2)
     backend = NgramBackend(model, PhraseTable(), max_len=2)
     ps = backend.predict(CTX, ("zzz",), 3)
-    assert ps.items and prediction_set(ps.items) == ps
+    assert ps and prediction_set(ps) == ps
 
 
 # -- remote ------------------------------------------------------------------
@@ -287,7 +287,7 @@ def test_remote_wellformed_response():
         {"cont": ["y", END], "p": 0.3, "tr": ["ty"]},
     ])
     ps = RemoteBackend("http://h:1", transport=transport).predict(CTX, ("a",), 4)
-    assert ps.other_mass == pytest.approx(0.2, abs=1e-9)
+    assert residual_mass(ps) == pytest.approx(0.2, abs=1e-9)
     url, sent, _ = transport.calls[0]
     assert url == "http://h:1/predict"
     assert sent == {"context_id": "daily-life", "prefix": ["a"], "k": 4}
@@ -299,10 +299,10 @@ def test_remote_overshoot_rescaled():
         {"cont": ["y"], "p": 0.4, "tr": ["ty"]},
     ])
     ps = RemoteBackend("http://h:1", transport=transport).predict(CTX, (), 4)
-    total = sum(pr.p for pr in ps.items)
+    total = sum(pr.p for pr in ps)
     assert total == pytest.approx(1.0, abs=1e-9)
-    assert ps.other_mass == pytest.approx(0.0, abs=1e-9)
-    assert ps.items[0].p == pytest.approx(0.8 / 1.2, abs=1e-12)
+    assert residual_mass(ps) == pytest.approx(0.0, abs=1e-9)
+    assert ps[0].p == pytest.approx(0.8 / 1.2, abs=1e-12)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -360,8 +360,8 @@ def test_remote_against_live_local_server():
     try:
         backend = RemoteBackend(f"http://127.0.0.1:{server.server_port}")
         ps = backend.predict(CTX, ("前",), 4)
-        assert ps.items[0].translation == ("echo", "前")
-        assert ps.other_mass == pytest.approx(0.3, abs=1e-9)
+        assert ps[0].translation == ("echo", "前")
+        assert residual_mass(ps) == pytest.approx(0.3, abs=1e-9)
     finally:
         server.shutdown()
         server.server_close()
@@ -375,7 +375,7 @@ def test_prediction_sets_always_valid_across_backends():
         prefix = tuple(rng.choice("ab") for _ in range(rng.randint(0, 4)))
         k = rng.randint(1, 5)
         ps = backend.predict(CTX, prefix, k)
-        assert len(ps.items) <= k and prediction_set(ps.items) == ps
+        assert len(ps) <= k and prediction_set(ps) == ps
 
 
 # -- one check for every backend ---------------------------------------------
@@ -410,8 +410,8 @@ def test_ngram_backend_drops_underflowed_continuations():
     backend = NgramBackend(model, PhraseTable(), max_len=12)
     session = start_session(EngineConfig(k=12), CTX, backend, PhraseTable())
     ps = backend.predict(CTX, (), 12)
-    assert ps.items and all(pr.p > 0 for pr in ps.items)
-    assert sum(not n.is_other for n in session.tree.leaves()) == len(ps.items)
+    assert ps and all(pr.p > 0 for pr in ps)
+    assert sum(not n.is_other for n in session.tree.leaves()) == len(ps)
 
 
 def test_ngram_backend_memo_is_lru_bounded(monkeypatch):

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from specsim.engine import start_session
 from specsim.ngram import END
-from specsim.predictor import NoPrediction, Prediction, prediction_set
+from specsim.phrases import PhraseTable
+from specsim.predictor import NoPrediction, Prediction, prediction_set, residual_mass
 from specsim.replay import replay
 from specsim.stream import ContextDoc, EngineConfig
 from specsim.tree import (advance, build_tree, expand, expandable_leaves,
@@ -73,9 +74,21 @@ def test_build_tree_single_certain_prediction():
 
 
 def test_build_tree_no_prediction_is_other_only():
-    tree = build_tree(("x",), None)
+    tree = build_tree(("x",), ())
     assert named_leaves(tree) == []
     assert tree.total_mass() == 1.0
+    # a backend that raises NoPrediction builds the same tree
+    session = start_session(EngineConfig(), CTX, FixedBackend({}), PhraseTable())
+    assert session.tree.dump() == build_tree((), ()).dump() == tree.dump()
+
+
+def test_a_set_summing_just_over_one_leaves_an_other_of_exactly_zero():
+    ps = prediction_set([Prediction(("a",), 0.6, ("ta",)),
+                         Prediction(("b",), 0.4 + 1e-10, ("tb",))])
+    assert math.fsum(pr.p for pr in ps) > 1
+    assert residual_mass(ps) == 0.0
+    other = build_tree((), ps).root.children[-1]
+    assert other.is_other and other.path_p == 0.0
 
 
 def test_advance_bayes_hand_example():
@@ -199,13 +212,18 @@ def test_expand_two_rounds_gives_product_masses():
 
 
 def test_expand_no_prediction_becomes_other_only():
-    backend = FixedBackend({})
-    tree = build_tree((), prediction_set([Prediction(("a",), 1.0, ("t",))]))
-    advance(tree, "a")
-    node = next(n for n in tree.leaves() if not n.is_other)
-    expand(tree, node, backend, CTX, ("a",), 4)
-    assert node.children and all(c.is_other for c in node.children)
-    assert tree.total_mass() == pytest.approx(1.0, abs=1e-12)
+    dumps = []
+    # NoPrediction, then an empty tuple of predictions
+    for backend in (FixedBackend({}), FixedBackend({("a",): ()})):
+        tree = build_tree((), prediction_set([Prediction(("a",), 1.0, ("t",))]))
+        advance(tree, "a")
+        node = next(n for n in tree.leaves() if not n.is_other)
+        expand(tree, node, backend, CTX, ("a",), 4)
+        assert node.children and all(c.is_other for c in node.children)
+        assert node.children[0].path_p == node.path_p
+        assert tree.total_mass() == pytest.approx(1.0, abs=1e-12)
+        dumps.append(tree.dump())
+    assert dumps[0] == dumps[1]
 
 
 def test_prune_folds_below_epsilon():
@@ -284,8 +302,7 @@ def test_leaf_hypotheses_sorted_and_excludes_other():
     hyps = leaf_hypotheses(tree)
     assert [m for _, m in hyps] == [0.4, 0.3, 0.2]
     assert hyps[0][0][0] == "Yesterday"
-    assert build_tree((), None) is not None
-    assert leaf_hypotheses(build_tree((), None)) == []
+    assert leaf_hypotheses(build_tree((), ())) == []
 
 
 def test_leaf_hypotheses_after_advance():
