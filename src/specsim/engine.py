@@ -38,7 +38,7 @@ from typing import Sequence
 from .metrics import SessionReport, compute_report
 from .phrases import (PhraseTable, PrefixView, StreamTranslation, idiom_spans,
                       translate)
-from .predictor import Backend, NoPrediction
+from .predictor import Backend, NoPrediction, check_predictions
 from .stream import ContextDoc, EngineConfig, TokenEvent
 from .template import (RevisionConflict, TargetTemplate, all_hole_template,
                        consensus, emittable, extend_into_hole, fixed_template,
@@ -94,7 +94,6 @@ class Session:
         self.template: TargetTemplate = all_hole_template()
         self.emitted: list[str] = []
         self.events: list[OutputEvent] = []
-        self.aux: tuple[str, ...] | None = None
         self.last_t = 0
         self.finalized = False
         self._next_drift = config.drift_window  # observed length of the next check
@@ -109,8 +108,9 @@ class Session:
 
     def _predict_tree(self) -> PredictionTree:
         prefix = self._view()  # backend query and tree anchor
+        backend, k = self.backend, self.config.k
         try:
-            ranked = self.backend.predict(self.context, prefix, self.config.k, self.aux)
+            ranked = check_predictions(backend, backend.predict(self.context, prefix, k), k)
         except NoPrediction:
             ranked = ()
         return build_tree(prefix, ranked)
@@ -182,10 +182,10 @@ class Session:
                 prefix = self._view()  # what every expandable leaf has consumed
                 for leaf in leaves:
                     if expand(self.tree, leaf, self.backend, self.context, prefix,
-                              self.config.k, self.aux):
+                              self.config.k):
                         self._dirty = self._prune_due = True
             if self._prune_due:
-                if prune(self.tree, self.config.epsilon, self.config.k):
+                if prune(self.tree, self.config.epsilon):
                     self._dirty = True
                 self._prune_due = False
 
@@ -203,10 +203,8 @@ class Session:
         self._next_drift = (n // cfg.drift_window + 1) * cfg.drift_window
         window = tuple(self.observed[-cfg.drift_window:])
         ppl = self.backend.perplexity(window)  # type: ignore[attr-defined]
-        if ppl / self._baseline_ppl <= cfg.drift_ratio:
-            return
-        self.aux = window
-        self.events.append(OutputEvent("context_shift", t_ms))
+        if ppl / self._baseline_ppl > cfg.drift_ratio:
+            self.events.append(OutputEvent("context_shift", t_ms))
 
 
 def start_session(config: EngineConfig, context: ContextDoc, backend: Backend,
@@ -258,7 +256,7 @@ def catchup(session: Session) -> list[OutputEvent]:
     session.template = extend_into_hole(session.template,
                                         translate(session.table, span))
     session._emit(t_ms)
-    session._drift_check(t_ms)  # before the tree is predicted again, with its aux
+    session._drift_check(t_ms)
     session._new_tree()
     return session.events[n:]
 

@@ -162,20 +162,19 @@ class StreamTranslation:
     committed only once no longer table entry could still start at or
     before the scan position (the pending window keeps the last
     max_source_len - 1 tokens open), so later tokens never change it.
-    `split` returns the committed target as a tuple, rebuilt only after `out`
-    has grown, and the pending source tokens src[pos:], so the translation
-    of the stream plus any continuation is the committed tuple plus
-    translate(pending + continuation); `preview` computes that without
-    committing. Every call must pass the same table.
+    `split` returns the committed target as a new tuple, and the pending
+    source tokens src[pos:], so the translation of the stream plus any
+    continuation is the committed tuple plus translate(pending +
+    continuation); `preview` computes that without committing. Every call
+    must pass the same table.
     """
 
-    __slots__ = ("src", "pos", "out", "_out_tuple")
+    __slots__ = ("src", "pos", "out")
 
     def __init__(self, src: list[str] | None = None):
         self.src: list[str] = [] if src is None else src
         self.pos = 0
         self.out: list[str] = []
-        self._out_tuple: tuple[str, ...] = ()
 
     def extend(self, table: PhraseTable, tokens: Sequence[str]) -> None:
         """Append tokens and commit every match that can no longer change:
@@ -187,9 +186,7 @@ class StreamTranslation:
 
     def split(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """The committed target tuple and the pending (unscanned) source tokens."""
-        if len(self._out_tuple) != len(self.out):
-            self._out_tuple = tuple(self.out)
-        return self._out_tuple, tuple(self.src[self.pos:])
+        return tuple(self.out), tuple(self.src[self.pos:])
 
     def preview(self, table: PhraseTable, continuation: Sequence[str]) -> tuple[str, ...]:
         """Translation of the full stream plus continuation; does not commit."""

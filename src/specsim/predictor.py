@@ -1,10 +1,11 @@
 """Continuation prediction backends: scripted fixtures, n-gram, remote HTTP.
 
-A backend maps (context, observed source prefix, k) to a ranked tuple of at
-most k full-continuation hypotheses with probabilities and target
-translations, as prediction_set checks and ranks them, or raises NoPrediction.
-The residual mass, 1 - sum of p (residual_mass), models the continuations the
-backend did not enumerate. Predict calls are deterministic. The scripted and
+A backend maps (context, observed source prefix, k) to a tuple of at most k
+full-continuation hypotheses with probabilities and target translations,
+ranked p descending, or raises NoPrediction. The session checks that tuple
+with check_predictions wherever it becomes tree mass, so a backend's bug
+surfaces as a ValueError naming it. The residual mass, 1 - sum of p
+(residual_mass), models the continuations the backend did not enumerate. Predict calls are deterministic. The scripted and
 remote backends are immutable after construction. NgramBackend keeps no
 per-stream state, only a memo of ranked continuations and their translated
 tails that changes its speed but never its results, so one instance serves
@@ -57,25 +58,39 @@ class Prediction:
         return self.continuation[:-1] if self.terminal else self.continuation
 
 
+def _well_formed(pr: object) -> bool:
+    """Whether pr is a Prediction with p in (0, 1], a non-empty tuple of
+    non-empty str tokens as its continuation and a tuple translation."""
+    if not isinstance(pr, Prediction):
+        return False
+    cont = pr.continuation
+    try:  # NaN fails the range; join raises TypeError on a token not a str
+        return bool(0 < pr.p <= 1 and isinstance(cont, tuple) and "" not in cont
+                    and "".join(cont) and isinstance(pr.translation, tuple))
+    except TypeError:
+        return False
+
+
+def _needs(pr: object) -> str:
+    """Why _well_formed refused pr."""
+    if not isinstance(pr, Prediction):
+        return f"{pr!r} is not a Prediction"
+    return (f"prediction with probability {pr.p!r} and continuation "
+            f"{pr.continuation!r}: needs p in (0, 1], a non-empty tuple of "
+            f"non-empty str tokens and a tuple translation")
+
+
 def prediction_set(items: Iterable[Prediction]) -> tuple[Prediction, ...]:
     """Check items and rank them: p descending, ties lexicographic.
 
-    ValueError unless every p lies in (0, 1], every continuation is a
-    non-empty sequence of non-empty str tokens, every translation a tuple and
-    the p sum to at most 1 + 1e-9. The tokens of translations, as long as the
-    utterance, are checked by the JSON loaders only, so a set costs
+    ValueError unless every item is well formed, as check_predictions asks,
+    and the p sum to at most 1 + 1e-9. The tokens of translations, as long as
+    the utterance, are checked by the JSON loaders only, so a set costs
     O(k * horizon)."""
     items = tuple(items)
     for pr in items:  # before sorting, which compares the tokens
-        p, cont = pr.p, pr.continuation
-        try:  # NaN fails the range; join raises TypeError on a token not a str
-            good = 0 < p <= 1 and cont and "" not in cont and "".join(cont)
-        except TypeError:
-            good = False
-        if not good or not isinstance(pr.translation, tuple):
-            raise ValueError(f"prediction with probability {p!r} and continuation "
-                             f"{cont!r}: needs p in (0, 1], non-empty str tokens "
-                             f"and a tuple translation")
+        if not _well_formed(pr):
+            raise ValueError(_needs(pr))
     ranked = tuple(sorted(items, key=lambda pr: (-pr.p, pr.continuation)))
     total = math.fsum(pr.p for pr in ranked)
     if total > 1 + _EPS:
@@ -83,15 +98,42 @@ def prediction_set(items: Iterable[Prediction]) -> tuple[Prediction, ...]:
     return ranked
 
 
+def check_predictions(backend: object, ranked: object, k: int) -> tuple[Prediction, ...]:
+    """A backend's predict result, checked where it becomes tree mass.
+
+    ValueError, naming the backend's class, unless `ranked` is a tuple of at
+    most k predictions, each with p in (0, 1], a non-empty tuple of non-empty
+    str tokens as its continuation and a tuple translation, whose p sum to at
+    most 1 + 1e-9. O(k); the order is not checked, and the tree reads it only
+    to render siblings."""
+    name = type(backend).__name__
+    if not isinstance(ranked, tuple):
+        raise ValueError(f"{name}.predict returned a {type(ranked).__name__}, "
+                         f"not a tuple of predictions")
+    if len(ranked) > k:
+        raise ValueError(f"{name}.predict returned {len(ranked)} predictions, "
+                         f"more than k={k}")
+    for pr in ranked:
+        if not _well_formed(pr):
+            raise ValueError(f"{name}.predict: {_needs(pr)}")
+    total = math.fsum(pr.p for pr in ranked)
+    if total > 1 + _EPS:
+        raise ValueError(f"{name}.predict: probabilities sum to {total!r} > 1")
+    return ranked
+
+
 def residual_mass(predictions: Iterable[Prediction]) -> float:
     """1 - the sum of p: the mass of every continuation not named, never
-    below 0 (prediction_set lets the p sum to 1 + 1e-9)."""
+    below 0 (check_predictions lets the p sum to 1 + 1e-9)."""
     return max(1.0 - math.fsum(pr.p for pr in predictions), 0.0)
 
 
 class Backend(Protocol):
-    def predict(self, context: ContextDoc, prefix: Sequence[str], k: int,
-                aux: Sequence[str] | None = None) -> tuple[Prediction, ...]: ...
+    """predict returns a tuple of at most k predictions, ranked p descending,
+    that check_predictions accepts, or raises NoPrediction."""
+
+    def predict(self, context: ContextDoc, prefix: Sequence[str],
+                k: int) -> tuple[Prediction, ...]: ...
 
 
 class ScriptedBackend:
@@ -111,8 +153,8 @@ class ScriptedBackend:
     def context_ids(self) -> list[str]:
         return sorted({cid for cid, _ in self.entries})
 
-    def predict(self, context: ContextDoc, prefix: Sequence[str], k: int,
-                aux: Sequence[str] | None = None) -> tuple[Prediction, ...]:
+    def predict(self, context: ContextDoc, prefix: Sequence[str],
+                k: int) -> tuple[Prediction, ...]:
         ranked = self.entries.get((context.id, tuple(prefix)))
         if ranked is None:
             raise NoPrediction(f"no entry for context {context.id!r}, "
@@ -187,7 +229,8 @@ class NgramBackend:
     evicted); the memo is all the state the backend keeps. Its model and its
     table never change once built, so a memoised answer is the answer a cold
     search would give, for as long as the backend lives. An entry holds the
-    checked, ranked tuple the search gave and the translated tails of its
+    tuple the search gave, already ranked by (-p, continuation), with the
+    hypotheses whose p underflowed to 0 dropped, and the translated tails of its
     hypotheses: the translation of the stream's pending tokens plus the
     hypothesis, keyed by those pending tokens. Tails are kept only for fewer
     than `order` pending tokens, which are then a suffix of the entry's
@@ -212,16 +255,16 @@ class NgramBackend:
         self._enum_cache: OrderedDict[tuple, tuple[
             tuple[Prediction, ...], dict[tuple[str, ...], tuple]]] = OrderedDict()
 
-    def predict(self, context: ContextDoc, prefix: Sequence[str], k: int,
-                aux: Sequence[str] | None = None) -> tuple[Prediction, ...]:
+    def predict(self, context: ContextDoc, prefix: Sequence[str],
+                k: int) -> tuple[Prediction, ...]:
         key = (self.model.history(prefix), k, self.max_len)
         cache = self._enum_cache
         entry = cache.get(key)
         if entry is None:
-            # a product of tiny conditionals can underflow to p = 0: drop it
-            ranked = prediction_set(
-                Prediction(cont, p, ()) for cont, p in
-                self.model.continuations(prefix, k, self.max_len) if p > 0)
+            # ranked by (-p, continuation) already; a product of tiny
+            # conditionals can underflow to p = 0: drop it
+            ranked = tuple(Prediction(cont, p, ()) for cont, p in
+                           self.model.continuations(prefix, k, self.max_len) if p > 0)
             entry = cache[key] = (ranked, {})
             if len(cache) > ENUM_CACHE_SIZE:
                 cache.popitem(last=False)
@@ -265,11 +308,9 @@ class RemoteBackend:
         self.timeout_ms = timeout_ms
         self._transport = transport
 
-    def predict(self, context: ContextDoc, prefix: Sequence[str], k: int,
-                aux: Sequence[str] | None = None) -> tuple[Prediction, ...]:
-        body: dict = {"context_id": context.id, "prefix": list(prefix), "k": k}
-        if aux:
-            body["aux"] = list(aux)
+    def predict(self, context: ContextDoc, prefix: Sequence[str],
+                k: int) -> tuple[Prediction, ...]:
+        body = {"context_id": context.id, "prefix": list(prefix), "k": k}
         payload = json.dumps(body, ensure_ascii=False).encode("utf-8")
         try:
             status, raw = self._transport(self.url, payload, self.timeout_ms / 1000.0)

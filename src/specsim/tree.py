@@ -10,8 +10,11 @@ probability. Observation consumes edge tokens one at a time; survivors
 are renormalized Bayes-style on their prior masses.
 
 A node's children are one named child per prediction of a backend's ranked
-tuple and an other child with its residual_mass, 1 - sum of p. NoPrediction
-counts as the empty tuple: the other child takes all of the node's mass.
+tuple and an other child with its residual_mass, 1 - sum of p. The session
+and `expand` run every tuple through check_predictions first, so a node has
+at most k named children and its children's masses sum to its own.
+NoPrediction counts as the empty tuple: the other child takes all of the
+node's mass.
 
 `advance` hands back the frontier it visited, so its caller finds the
 leaves to expand without another walk, and says whether a named node lost
@@ -32,7 +35,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .predictor import Backend, NoPrediction, Prediction, residual_mass
+from .predictor import (Backend, NoPrediction, Prediction, check_predictions,
+                        residual_mass)
 from .stream import ContextDoc
 
 _RENORM_SKIP = 1e-12  # full survival: S is mathematically 1, skip the noisy division
@@ -195,21 +199,22 @@ def advance(tree: PredictionTree, token: str) -> MatchOutcome:
 
 
 def expand(tree: PredictionTree, node: TreeNode, backend: Backend,
-           context: ContextDoc, prefix: Sequence[str], k: int,
-           aux: Sequence[str] | None = None) -> bool:
+           context: ContextDoc, prefix: Sequence[str], k: int) -> bool:
     """Grow children under a fully consumed named leaf via the backend.
 
     prefix is the source the node's hypothesis has consumed, which the
     caller knows: a leaf that survived every advance since the tree was
     built has consumed exactly the tokens observed since the anchor, so for
     the session it is its whole observed prefix. The caller applies the
-    depth cap. NoPrediction degrades to an other-only expansion carrying the
-    full node mass. Returns whether the tree changed.
+    depth cap. The backend's tuple goes through check_predictions, so a
+    malformed one raises ValueError naming the backend. NoPrediction
+    degrades to an other-only expansion carrying the full node mass. Returns
+    whether the tree changed.
     """
     if node.is_other or node.children or not node.consumed or node.terminal:
         return False
     try:
-        ranked = backend.predict(context, prefix, k, aux)
+        ranked = check_predictions(backend, backend.predict(context, prefix, k), k)
     except NoPrediction:
         ranked = ()
     _attach_predictions(node, ranked, node.path_p, node.depth + 1)
@@ -225,16 +230,16 @@ def expandable_leaves(frontier: Iterable[TreeNode], max_depth: int) -> list[Tree
             and n.depth < max_depth]
 
 
-def prune(tree: PredictionTree, epsilon: float, k: int) -> bool:
-    """Fold low-mass named nodes and beyond-k children into their parent's other.
+def prune(tree: PredictionTree, epsilon: float) -> bool:
+    """Fold the named nodes below epsilon into their parent's other.
 
-    Of more than k named siblings at or above epsilon, the k heaviest stay,
-    the lexicographically smaller edge winning a tie, in sibling order. Mass
-    is conserved exactly: every removed subtree's mass lands in the last
-    child, the other. Returns whether anything changed.
+    The named siblings at or above epsilon stay, in sibling order. Mass is
+    conserved exactly: every removed subtree's mass lands in the last child,
+    the other. Returns whether anything changed. No cap on the number of
+    children is needed: they come only from a checked tuple of at most k.
 
-    Only the structure and the named nodes' masses and edges are read, and a
-    second run with the same arguments changes nothing. So after a run, the
+    Only the structure and the named nodes' masses are read, and a second
+    run with the same arguments changes nothing. So after a run, the
     next one can change something only once an `expand`, or an `advance`
     whose outcome has `moved`, changed the tree.
     """
@@ -244,11 +249,8 @@ def prune(tree: PredictionTree, epsilon: float, k: int) -> bool:
         parent = stack.pop()
         *named, other = parent.children
         keep = [c for c in named if c.path_p >= epsilon]
-        if len(keep) > k:
-            top = sorted(keep, key=lambda c: (-c.path_p, c.edge))[:k]
-            keep = [c for c in keep if c in top]
         if len(keep) != len(named):
-            other.path_p += math.fsum(c.path_p for c in named if c not in keep)
+            other.path_p += math.fsum(c.path_p for c in named if c.path_p < epsilon)
             keep.append(other)
             parent.children = keep
             changed = True

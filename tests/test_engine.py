@@ -46,7 +46,7 @@ def test_start_session_builds_tree_from_empty_prefix(shopping_backend, shopping_
 
 def test_start_session_no_prediction_gives_other_only(shopping_table):
     class Empty:
-        def predict(self, context, prefix, k, aux=None):
+        def predict(self, context, prefix, k):
             raise NoPrediction("nothing")
 
     s = session_for(Empty(), shopping_table)
@@ -207,7 +207,6 @@ def test_drift_shift_on_out_of_domain_window():
                    if ev.kind == "context_shift"]
     assert len(shifts) == 1
     assert kinds(s.events).count("context_shift") == 1
-    assert s.aux == ("q", "q", "q", "q")
 
 
 def test_a_catchup_runs_the_drift_check_it_jumps_over():
@@ -222,13 +221,13 @@ def test_a_catchup_runs_the_drift_check_it_jumps_over():
     feed(burst, events[0])
     asked = []
     predict = burst.backend.predict
-    burst.backend.predict = lambda ctx, prefix, k, aux=None: (
-        asked.append((len(prefix), aux)) or predict(ctx, prefix, k, aux))
+    burst.backend.predict = lambda ctx, prefix, k: (
+        asked.append(len(prefix)) or predict(ctx, prefix, k))
     out = []
     for ev in events[1:6]:  # the fifth overfills the buffer: a catch-up to 6
         out += deliver(burst, ev)
     assert kinds(out)[0] == "catchup" and kinds(out).count("context_shift") == 1
-    assert asked == [(6, ("q",) * 4)]  # the new tree is predicted with the aux
+    assert asked == [6]  # the catch-up re-predicts once, at the new prefix
     for ev in events[6:]:
         feed(burst, ev)
     assert kinds(burst.events).count("context_shift") == 3
@@ -272,7 +271,7 @@ def test_finalize_twice_rejected(shopping_backend, shopping_table):
 
 def test_finalize_falls_back_to_direct_translation(shopping_table):
     class Empty:
-        def predict(self, context, prefix, k, aux=None):
+        def predict(self, context, prefix, k):
             raise NoPrediction("nothing")
 
     s = session_for(Empty(), shopping_table)
@@ -418,7 +417,7 @@ def test_a_hit_tick_leaves_the_tree_pruned():
                             backend, PhraseTable())
     for ev in transcript_from_tokens(["a", "b", "c", "z"]).events[:3]:
         assert not any(e.kind == "diverge" for e in feed(session, ev))
-        assert not prune(session.tree, 0.1, 4)
+        assert not prune(session.tree, 0.1)
     assert [n.edge for n in session.tree.root.children] == [("a", "b", "c"), ()]
 
 
@@ -440,7 +439,7 @@ def test_an_expanded_node_that_loses_a_child_is_folded_on_the_hit_tick():
     feed(session, events[1])
     assert "diverge" not in kinds(session.events)
     assert [n.edge for n in session.tree.root.children] == [("a", "c"), ()]
-    assert not prune(session.tree, 0.1, 4)
+    assert not prune(session.tree, 0.1)
 
 
 def test_prune_follows_only_a_build_on_trees_without_internal_nodes(monkeypatch):
@@ -453,9 +452,9 @@ def test_prune_follows_only_a_build_on_trees_without_internal_nodes(monkeypatch)
         calls.append("build")
         return build(prefix, ps)
 
-    def pruned(tree, epsilon, k):
+    def pruned(tree, epsilon):
         calls.append("prune")
-        return prune_(tree, epsilon, k)
+        return prune_(tree, epsilon)
 
     monkeypatch.setattr(engine, "build_tree", built)
     monkeypatch.setattr(engine, "prune", pruned)
@@ -517,11 +516,11 @@ class RecordingBackend:
         self.session = None  # unset while start_session predicts from ()
         self.calls = 0
 
-    def predict(self, context, prefix, k, aux=None):
+    def predict(self, context, prefix, k):
         observed = self.session.observed if self.session is not None else []
         assert isinstance(prefix, Sequence) and list(prefix) == observed
         self.calls += 1
-        return self.inner.predict(context, prefix, k, aux)
+        return self.inner.predict(context, prefix, k)
 
 
 def _recorded_replay(cfg, ctx, backend, table, transcript, profile):
@@ -563,9 +562,9 @@ def test_predict_sees_the_observed_prefix():
 class CountingNgramBackend(NgramBackend):
     calls = 0
 
-    def predict(self, context, prefix, k, aux=None):
+    def predict(self, context, prefix, k):
         self.calls += 1
-        return super().predict(context, prefix, k, aux)
+        return super().predict(context, prefix, k)
 
 
 def _ticks(transcript, session, profile, log):

@@ -330,14 +330,6 @@ def test_remote_failures_surface_as_no_prediction(kwargs):
         backend.predict(CTX, (), 4)
 
 
-def test_remote_aux_context_included_when_set():
-    transport = fake_transport([])
-    RemoteBackend("http://h:1", transport=transport).predict(
-        CTX, ("a",), 2, aux=("w1", "w2"))
-    _, sent, _ = transport.calls[0]
-    assert sent["aux"] == ["w1", "w2"]
-
-
 def test_remote_against_live_local_server():
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):

@@ -43,7 +43,7 @@ class FixedBackend:
     def __init__(self, entries):
         self.entries = {tuple(k): v for k, v in entries.items()}
 
-    def predict(self, context, prefix, k, aux=None):
+    def predict(self, context, prefix, k):
         ps = self.entries.get(tuple(prefix))
         if ps is None:
             raise NoPrediction("missing")
@@ -149,12 +149,12 @@ def test_an_advance_below_an_expansion_keeps_walk_order_and_can_leave_a_fold():
     advance(tree, "a")
     node, x, root_other = tree.root.children
     expand(tree, node, backend, CTX, ("a",), 4)
-    assert not prune(tree, 0.1, 4)
+    assert not prune(tree, 0.1)
     out = advance(tree, "c")  # kills b: the expanded node keeps only its other
     node_other = node.children[0]
     assert out.frontier == [node_other, x, root_other] == list(tree.leaves())
     assert out.moved and node.path_p < 0.1
-    assert prune(tree, 0.1, 4)  # the node fell below epsilon: this prune folds it
+    assert prune(tree, 0.1)  # the node fell below epsilon: this prune folds it
 
 
 def test_advance_fully_consumed_leaf_dies():
@@ -228,7 +228,7 @@ def test_expand_no_prediction_becomes_other_only():
 
 def test_prune_folds_below_epsilon():
     tree = build_tree((), shopping_ps())
-    assert prune(tree, 0.25, 4)
+    assert prune(tree, 0.25)
     named = named_leaves(tree)
     other = [n for n in tree.leaves() if n.is_other]
     assert [n.path_p for n in named] == [0.4, 0.3]
@@ -239,35 +239,15 @@ def test_prune_folds_below_epsilon():
 def test_prune_identity_when_nothing_to_do():
     tree = build_tree((), shopping_ps())
     before = tree.dump()
-    assert not prune(tree, 0.0, 4)
+    assert not prune(tree, 0.0)
     assert tree.dump() == before
 
 
 def test_prune_all_below_epsilon_gives_other_only():
     tree = build_tree((), shopping_ps())
-    assert prune(tree, 0.5, 4)
+    assert prune(tree, 0.5)
     assert named_leaves(tree) == []
     assert tree.total_mass() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_prune_k_cap_folds_lowest():
-    tree = build_tree((), shopping_ps())
-    assert prune(tree, 0.0, 2)
-    named = named_leaves(tree)
-    assert [n.path_p for n in named] == [0.4, 0.3]
-    assert tree.total_mass() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_prune_k_cap_ties_keep_smaller_edges_in_sibling_order():
-    tree = build_tree((), ps_of(("d", 0.3, "td"), ("c", 0.2, "tc"), ("b", 0.2, "tb"),
-                                ("a", 0.2, "ta")))
-    *named, other = tree.root.children
-    tree.root.children = named[::-1] + [other]  # c b a d: sibling order unsorted
-    assert prune(tree, 0.0, 3)
-    assert [n.edge[0] for n in tree.root.children[:-1]] == ["b", "a", "d"]
-    assert tree.root.children[-1] is other
-    assert other.path_p == pytest.approx(0.3, abs=1e-12)
-    check_invariants(tree)
 
 
 def test_prune_folds_below_the_root_into_the_parents_own_other():
@@ -277,7 +257,7 @@ def test_prune_folds_below_the_root_into_the_parents_own_other():
     advance(tree, "a")
     node = tree.root.children[0]
     expand(tree, node, backend, CTX, ("a",), 4)
-    assert prune(tree, 0.1, 1)
+    assert prune(tree, 0.35)  # q and r fall below epsilon, p stays
     *named, other = node.children
     assert [n.edge[0] for n in named] == ["p"]
     assert other.path_p == pytest.approx(0.4, abs=1e-12)  # q, r and the residual
@@ -292,7 +272,7 @@ def test_prune_never_removes_named_at_or_above_epsilon():
         eps = rng.choice([0.01, 0.05, 0.2])
         before = {id(n): n.path_p for n in tree.walk()
                   if not n.is_other and n.path_p >= eps}
-        prune(tree, eps, k=99)
+        prune(tree, eps)
         after = {id(n) for n in tree.walk()}
         assert all(i in after for i in before)
 
@@ -368,7 +348,7 @@ def mutate_tree(tree, rng):
             backend = FixedBackend({} if ps is None else {prefix: ps})
             expand(tree, node, backend, CTX, prefix, 5)
     else:
-        prune(tree, rng.choice([0.0, 0.02, 0.1]), rng.randint(1, 5))
+        prune(tree, rng.choice([0.0, 0.02, 0.1]))
 
 
 def _some_token(tree, rng):
@@ -421,7 +401,7 @@ OPERATIONS = st.one_of(
     st.tuples(st.just("advance"), TOKEN_PICKS),
     st.tuples(st.just("follow"), st.integers(0, 9)),
     st.tuples(st.just("expand"), st.integers(0, 9), st.booleans()),
-    st.tuples(st.just("prune"), st.sampled_from([0.0, 0.02, 0.1]), st.integers(1, 5)),
+    st.tuples(st.just("prune"), st.sampled_from([0.0, 0.02, 0.1])),
 )
 TREE_PROPERTY = settings(derandomize=True, max_examples=300, database=None, deadline=None)
 
@@ -458,7 +438,7 @@ def apply_operation(tree, op, data):
             entries = {} if op[2] else {node.edge: data.draw(prediction_sets())}
             expand(tree, node, FixedBackend(entries), CTX, node.edge, 5)
     else:
-        prune(tree, op[1], op[2])
+        prune(tree, op[1])
 
 
 @TREE_PROPERTY
@@ -493,19 +473,19 @@ def test_advance_matches_bruteforce_bayes(ps, ops, pick, data):
 @TREE_PROPERTY
 @given(prediction_sets(), st.lists(OPERATIONS, max_size=8),
        st.lists(TOKEN_PICKS, min_size=1, max_size=8),
-       st.sampled_from([0.0, 0.02, 0.1]), st.integers(1, 5), st.data())
+       st.sampled_from([0.0, 0.02, 0.1]), st.data())
 def test_an_advance_that_moved_nothing_leaves_a_pruned_tree_pruned(ps, ops, picks,
-                                                                  epsilon, k, data):
+                                                                  epsilon, data):
     # the session skips prune on such a tick
     tree = build_tree((), ps)
     for op in ops:
         apply_operation(tree, op, data)
-    prune(tree, epsilon, k)
+    prune(tree, epsilon)
     for pick in picks:
         if advanced(tree, picked_token(tree, pick)).moved:
-            prune(tree, epsilon, k)
+            prune(tree, epsilon)
         else:
-            assert not prune(tree, epsilon, k)
+            assert not prune(tree, epsilon)
 
 
 def test_tree_operations_and_a_replay_leave_no_cyclic_garbage(
@@ -519,7 +499,7 @@ def test_tree_operations_and_a_replay_leave_no_cyclic_garbage(
         for node in expandable_leaves(advance(tree, "a").frontier, 3):
             expand(tree, node, backend, CTX, ("a",), 4)
         advance(tree, "p")
-        prune(tree, 0.2, 1)
+        prune(tree, 0.2)
         leaf_hypotheses(tree)
         session = start_session(EngineConfig(), ContextDoc("daily-life"),
                                 shopping_backend, shopping_table)
