@@ -129,7 +129,7 @@ def cmd_validate(args) -> int:
 
 def _print_state(session: Session, emitted_now):
     hyps = leaf_hypotheses(session.tree)[:3]
-    for tr, mass in hyps:
+    for tr, mass, _ in hyps:
         print(f"  hyp {mass:.3f}: {' '.join(tr)}")
     print(f"  template: {session.template.render()}")
     if emitted_now:

@@ -197,6 +197,14 @@ class StreamTranslation:
         return self.preview(table, ())
 
 
+def settled_translation(table: PhraseTable, source: Sequence[str]) -> tuple[str, ...]:
+    """The part of translate(table, source) that no token appended to source
+    can change: the `out` of a StreamTranslation extended by source."""
+    stream = StreamTranslation()
+    stream.extend(table, source)
+    return tuple(stream.out)
+
+
 class PrefixView(Sequence[str]):
     """Read-only snapshot of the first n tokens of a stream's source.
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from .ngram import END, NgramModel
-from .phrases import PhraseTable, split_prefix, translate
+from .phrases import PhraseTable, settled_translation, split_prefix, translate
 from .stream import ContextDoc
 
 _EPS = 1e-9
@@ -229,10 +229,12 @@ class NgramBackend:
     evicted); the memo is all the state the backend keeps. Its model and its
     table never change once built, so a memoised answer is the answer a cold
     search would give, for as long as the backend lives. An entry holds the
-    tuple the search gave, already ranked by (-p, continuation), with the
-    hypotheses whose p underflowed to 0 dropped, and the translated tails of its
+    tuple the search gave, already ranked by (-p, continuation), less the
+    hypotheses whose p underflowed to 0, and the translated tails of its
     hypotheses: the translation of the stream's pending tokens plus the
-    hypothesis, keyed by those pending tokens. Tails are kept only for fewer
+    hypothesis, keyed by those pending tokens. A truncated hypothesis (no end
+    marker) may go on, so its tail is only the settled_translation part,
+    which no later source token can change. Tails are kept only for fewer
     than `order` pending tokens, which are then a suffix of the entry's
     history, so an entry holds at most `order` tail lists.
 
@@ -275,6 +277,8 @@ class NgramBackend:
         tails = tails_by_pending.get(pending)
         if tails is None:
             tails = tuple(translate(self.table, pending + pr.source_tokens)
+                          if pr.terminal else
+                          settled_translation(self.table, pending + pr.continuation)
                           for pr in ranked)
             if len(pending) < self.model.order:
                 tails_by_pending[pending] = tails

@@ -77,20 +77,26 @@ def fixed_template(tokens: Sequence[str]) -> TargetTemplate:
     return TargetTemplate(tuple(tokens))
 
 
-def consensus(hyps: Sequence[tuple[Sequence[str], float]], tau: float) -> TargetTemplate:
+def consensus(hyps: Sequence[tuple[Sequence[str], float, bool]],
+              tau: float) -> TargetTemplate:
     """Commit what the tau-mass cover of hypotheses agrees on.
 
-    Takes hypotheses sorted by mass descending; uses the smallest prefix of
-    them whose cumulative mass reaches tau. The template is their longest
-    common prefix, the hole, and their longest common suffix; the suffix is
-    truncated if prefix and suffix would overlap inside any cover member
-    (the prefix wins, being emittable earliest). Identical cover members
-    commit fully with no hole. Below-tau total commits nothing.
+    Takes (translation, mass, terminal) hypotheses sorted by mass
+    descending; uses the smallest prefix of them whose cumulative mass
+    reaches tau. The template is their longest common prefix, the hole, and
+    their longest common suffix; the suffix is truncated if prefix and
+    suffix would overlap inside any cover member (the prefix wins, being
+    emittable earliest). Identical cover members commit fully with no hole.
+    A member that is not terminal was cut at the prediction horizon, so its
+    translation's end is not the utterance's: a cover holding one commits
+    the common prefix and a hole only. Below-tau total commits nothing.
     """
     cover: list[Sequence[str]] = []
     cum = 0.0
-    for toks, mass in hyps:
+    ends = True  # every cover member runs to the utterance's end
+    for toks, mass, terminal in hyps:
         cover.append(toks)
+        ends = ends and terminal
         cum += mass
         if cum >= tau - _TAU_SLACK:
             break
@@ -99,8 +105,10 @@ def consensus(hyps: Sequence[tuple[Sequence[str], float]], tau: float) -> Target
 
     first = tuple(cover[0])
     if all(tuple(h) == first for h in cover[1:]):
-        return TargetTemplate(first)
+        return TargetTemplate(first, None if ends else ())
     p = min(len(first), *(common_prefix_len(first, h) for h in cover[1:]))
+    if not ends:
+        return TargetTemplate(first[:p], ())
     s = min(len(first), *(common_suffix_len(first, h) for h in cover[1:]))
     shortest = min(len(h) for h in cover)
     if p + s > shortest:

@@ -258,8 +258,10 @@ def prune(tree: PredictionTree, epsilon: float) -> bool:
     return changed
 
 
-def leaf_hypotheses(tree: PredictionTree) -> list[tuple[tuple[str, ...], float]]:
-    """Named-leaf (translation, mass) pairs, mass descending then lexicographic."""
-    out = [(n.translation, n.path_p) for n in tree.leaves() if not n.is_other]
+def leaf_hypotheses(tree: PredictionTree) -> list[tuple[tuple[str, ...], float, bool]]:
+    """Named-leaf (translation, mass, terminal) triples, mass descending then
+    translation lexicographic."""
+    out = [(n.translation, n.path_p, n.terminal) for n in tree.leaves()
+           if not n.is_other]
     out.sort(key=lambda h: (-h[1], h[0]))
     return out

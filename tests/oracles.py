@@ -28,22 +28,27 @@ def classic_levenshtein(a, b) -> int:
 
 
 def consensus_oracle(hyps, tau) -> TargetTemplate:
-    """Quadratic position-by-position scan over the tau-mass cover."""
+    """Quadratic position-by-position scan over the tau-mass cover; a cover
+    with a member that is not terminal commits its common prefix only."""
     cover = []
     cum = 0.0
-    for toks, mass in hyps:
-        cover.append(list(toks))
+    for toks, mass, terminal in hyps:
+        cover.append((list(toks), terminal))
         cum += mass
         if cum >= tau - 1e-9:
             break
     else:
         return TargetTemplate((), ())
-    if all(h == cover[0] for h in cover):
-        return TargetTemplate(tuple(cover[0]))
+    ends = all(terminal for _, terminal in cover)
+    cover = [h for h, _ in cover]
     shortest = min(len(h) for h in cover)
     p = 0
     while p < shortest and all(h[p] == cover[0][p] for h in cover):
         p += 1
+    if not ends:
+        return TargetTemplate(tuple(cover[0][:p]), ())
+    if all(h == cover[0] for h in cover):
+        return TargetTemplate(tuple(cover[0]))
     s = 0
     while s < shortest and all(h[len(h) - 1 - s] == cover[0][len(cover[0]) - 1 - s]
                                for h in cover):

@@ -114,7 +114,7 @@ def test_c4_consensus_oracle_equivalence_1000_sets():
         scale = rng.uniform(0.4, 1.0) / sum(raw)
         hyps = sorted(
             ((tuple(rng.choice(vocab) for _ in range(rng.randint(0, 12))),
-              mass * scale) for mass in raw),
+              mass * scale, rng.random() < 0.8) for mass in raw),
             key=lambda h: (-h[1], h[0]))
         tau = rng.choice([0.5, 0.7, 0.9, 0.95])
         assert consensus(hyps, tau) == consensus_oracle(hyps, tau)

@@ -130,6 +130,32 @@ def test_run_ngram_backend(tmp_path):
     assert report["accuracy"] == 1.0
 
 
+def test_run_ngram_toy_case_commits_no_truncated_hypothesis_as_settled(tmp_path):
+    # at --max-len 1 every hypothesis is cut at the horizon; the one for "a"
+    # used to complete the template, so "b" and "c" became conflicts and the
+    # output stopped at "a" (conflicts 3, accuracy 0.333)
+    model = tmp_path / "model.json"
+    assert run_cli("train", "--corpus", str(FIXTURES / "toy" / "corpus.txt"),
+                   "--order", "2", "--model", str(model)) == 0
+    (tmp_path / "phrases.tsv").write_text("")
+    (tmp_path / "config.json").write_text('{"d": 1}')
+    (tmp_path / "t.jsonl").write_text(
+        '{"src":"x","tgt":"y","ref":["a","b","c"]}\n'
+        '{"i":0,"tok":"a","t_ms":0}\n'
+        '{"i":1,"tok":"b","t_ms":100}\n'
+        '{"i":2,"tok":"c","t_ms":200,"final":true}\n')
+    assert run_cli("run", "--transcript", str(tmp_path / "t.jsonl"),
+                   "--config", str(tmp_path / "config.json"), "--backend", "ngram",
+                   "--model", str(model), "--phrase-table", str(tmp_path / "phrases.tsv"),
+                   "--max-len", "1", "--out-events", str(tmp_path / "events.jsonl"),
+                   "--out-report", str(tmp_path / "r.json")) == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert (report["conflicts"], report["accuracy"]) == (0, 1.0)
+    emitted = [tok for line in (tmp_path / "events.jsonl").read_text().splitlines()
+               for tok in json.loads(line).get("toks", [])]
+    assert emitted == ["a", "b", "c"]
+
+
 def test_run_remote_backend_against_local_server(tmp_path):
     import json as _json
     import threading

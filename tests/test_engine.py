@@ -241,6 +241,39 @@ def test_drift_never_fires_for_scripted_backend(shopping_backend, shopping_table
     assert all(ev.kind != "context_shift" for ev in events)
 
 
+# -- truncated hypotheses ---------------------------------------------------------
+
+# Every conditional along these sentences is at least 1/6 at order 2, so no
+# tau = 0.9 cover can leave the spoken sentence out, and each clean real-time
+# replay must translate it exactly. Multi-token and atomic phrases end where
+# a horizon of 1-4 tokens often cuts a hypothesis: "eat" alone would be
+# translated word by word, "eat rice" is an idiom.
+HORIZON_SENTENCES = [
+    "i want to go home now", "i want to eat rice now", "you want to go out",
+    "i like to eat rice", "we go home now", "good morning to you",
+]
+HORIZON_TABLE = PhraseTable({
+    ("i",): ("I",), ("want", "to"): ("WISH",), ("i", "want", "to"): ("I-WISH",),
+    ("go", "home"): ("HOME-A", "HOME-B"), ("eat", "rice"): ("MEAL-A", "MEAL-B"),
+    ("go", "out"): ("LEAVE",), ("good", "morning"): ("HELLO-A", "HELLO-B"),
+    ("now",): ("NOW",),
+}, atomic=[("go", "home"), ("eat", "rice"), ("good", "morning")])
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(st.sampled_from(HORIZON_SENTENCES), st.integers(1, 4), st.integers(2, 3),
+       st.integers(1, 4), st.integers(1, 3))
+def test_a_short_horizon_translates_a_training_sentence_without_conflict(
+        sentence, max_len, order, k, d):
+    model = train_ngram([s.split() for s in HORIZON_SENTENCES], order, alpha=0.01)
+    backend = NgramBackend(model, HORIZON_TABLE, max_len=max_len)
+    source = sentence.split()
+    session = start_session(EngineConfig(k=k, d=d), CTX, backend, HORIZON_TABLE)
+    events, report = replay(transcript_from_tokens(source), session)
+    assert "conflict" not in kinds(events)
+    assert tuple(session.emitted) == translate(HORIZON_TABLE, source)
+
+
 # -- finalize -------------------------------------------------------------------
 
 

@@ -20,7 +20,7 @@ from oracles import consensus_oracle
 H1 = tuple("Yesterday , I went to see a movie with my friend".split())
 H2 = tuple("Yesterday , I had a meal with my friend".split())
 H3 = tuple("Yesterday , I went to the park with my friend".split())
-SHOPPING_HYPS = [(H1, 0.4), (H2, 0.3), (H3, 0.2)]
+SHOPPING_HYPS = [(H1, 0.4, True), (H2, 0.3, True), (H3, 0.2, True)]
 
 
 def test_consensus_shopping_example():
@@ -29,14 +29,14 @@ def test_consensus_shopping_example():
 
 
 def test_consensus_single_certain_hypothesis_no_hole():
-    t = consensus([(("a", "b", "c"), 1.0)], tau=0.9)
+    t = consensus([(("a", "b", "c"), 1.0, True)], tau=0.9)
     assert t == TargetTemplate(("a", "b", "c"))
     assert t.slots == ("a", "b", "c")
     assert t.complete()
 
 
 def test_consensus_disjoint_hypotheses_single_hole():
-    t = consensus([(("x", "y"), 0.5), (("p", "q", "r"), 0.45)], tau=0.9)
+    t = consensus([(("x", "y"), 0.5, True), (("p", "q", "r"), 0.45, True)], tau=0.9)
     assert t == TargetTemplate((), ())
     assert t.slots == (None,)
     assert t.render() == "[*]"
@@ -48,20 +48,33 @@ def test_consensus_below_tau_commits_nothing():
 
 
 def test_single_hypothesis_emits_entire_translation():
-    t = consensus([(H1, 0.95)], tau=0.9)
+    t = consensus([(H1, 0.95, True)], tau=0.9)
     assert emittable(t, [], 0) == H1
     assert emittable(t, [], len(H1)) == ()
 
 
 def test_consensus_prefix_wins_on_overlap():
     # lcp = (a b a), lcs = (a b a), shortest member length 3
-    t = consensus([(("a", "b", "a", "b", "a"), 0.5), (("a", "b", "a"), 0.4)], tau=0.9)
+    t = consensus([(("a", "b", "a", "b", "a"), 0.5, True), (("a", "b", "a"), 0.4, True)],
+                  tau=0.9)
     assert t == TargetTemplate(("a", "b", "a"), ())
 
 
 def test_consensus_identical_members_commit_fully():
-    t = consensus([(("x", "y"), 0.5), (("x", "y"), 0.4)], tau=0.9)
+    t = consensus([(("x", "y"), 0.5, True), (("x", "y"), 0.4, True)], tau=0.9)
     assert t == TargetTemplate(("x", "y"))
+
+
+def test_a_truncated_cover_member_commits_a_prefix_and_a_hole_only():
+    # identical members: complete only when both run to the utterance's end
+    t = consensus([(("x", "y"), 0.5, True), (("x", "y"), 0.4, False)], tau=0.9)
+    assert t == TargetTemplate(("x", "y"), ())
+    # a shared end is no suffix when a member may still go on
+    t = consensus([(H1, 0.5, False), (H2, 0.4, True)], tau=0.9)
+    assert t.render() == "Yesterday , I [*]"
+    # a truncated member outside the cover changes nothing
+    assert consensus(SHOPPING_HYPS + [(H1, 0.1, False)], tau=0.9) == \
+        consensus(SHOPPING_HYPS, tau=0.9)
 
 
 def test_consensus_matches_bruteforce_oracle():
@@ -75,15 +88,15 @@ def test_consensus_matches_bruteforce_oracle():
         hyps = []
         for mass in raw:
             toks = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 12)))
-            hyps.append((toks, mass * scale))
+            hyps.append((toks, mass * scale, rng.random() < 0.8))
         hyps.sort(key=lambda h: (-h[1], h[0]))
         tau = rng.choice([0.5, 0.7, 0.9])
         assert consensus(hyps, tau) == consensus_oracle(hyps, tau)
 
 
 def test_consensus_insensitive_to_equal_mass_permutation():
-    a = (("x", "p"), 0.45)
-    b = (("x", "q"), 0.45)
+    a = (("x", "p"), 0.45, True)
+    b = (("x", "q"), 0.45, True)
     t1 = consensus(sorted([a, b], key=lambda h: (-h[1], h[0])), 0.9)
     t2 = consensus(sorted([b, a], key=lambda h: (-h[1], h[0])), 0.9)
     assert t1 == t2

@@ -280,7 +280,8 @@ def test_prune_never_removes_named_at_or_above_epsilon():
 def test_leaf_hypotheses_sorted_and_excludes_other():
     tree = build_tree((), shopping_ps())
     hyps = leaf_hypotheses(tree)
-    assert [m for _, m in hyps] == [0.4, 0.3, 0.2]
+    assert [m for _, m, _ in hyps] == [0.4, 0.3, 0.2]
+    assert all(terminal for _, _, terminal in hyps)
     assert hyps[0][0][0] == "Yesterday"
     assert leaf_hypotheses(build_tree((), ())) == []
 
