@@ -5,11 +5,11 @@ full-continuation hypotheses with probabilities and target translations,
 ranked p descending, or raises NoPrediction. The session checks that tuple
 with check_predictions wherever it becomes tree mass, so a backend's bug
 surfaces as a ValueError naming it. The residual mass, 1 - sum of p
-(residual_mass), models the continuations the backend did not enumerate. Predict calls are deterministic. The scripted and
-remote backends are immutable after construction. NgramBackend keeps no
-per-stream state, only a memo of ranked continuations and their translated
-tails that changes its speed but never its results, so one instance serves
-any number of sessions.
+(residual_mass), models the continuations the backend did not enumerate.
+Predict calls are deterministic. The scripted and remote backends are
+immutable after construction. NgramBackend keeps no per-stream state, only a
+memo of ranked continuations and their translated tails that changes its
+speed but never its results, so one instance serves any number of sessions.
 """
 
 from __future__ import annotations
@@ -58,39 +58,36 @@ class Prediction:
         return self.continuation[:-1] if self.terminal else self.continuation
 
 
-def _well_formed(pr: object) -> bool:
-    """Whether pr is a Prediction with p in (0, 1], a non-empty tuple of
-    non-empty str tokens as its continuation and a tuple translation."""
-    if not isinstance(pr, Prediction):
-        return False
-    cont = pr.continuation
-    try:  # NaN fails the range; join raises TypeError on a token not a str
-        return bool(0 < pr.p <= 1 and isinstance(cont, tuple) and "" not in cont
-                    and "".join(cont) and isinstance(pr.translation, tuple))
-    except TypeError:
-        return False
-
-
-def _needs(pr: object) -> str:
-    """Why _well_formed refused pr."""
+def _malformed(pr: object) -> str | None:
+    """Why pr is not a Prediction with p in (0, 1], a non-empty tuple of
+    non-empty str tokens as its continuation and a tuple translation; None
+    when it is one."""
     if not isinstance(pr, Prediction):
         return f"{pr!r} is not a Prediction"
-    return (f"prediction with probability {pr.p!r} and continuation "
-            f"{pr.continuation!r}: needs p in (0, 1], a non-empty tuple of "
-            f"non-empty str tokens and a tuple translation")
+    cont = pr.continuation
+    try:  # NaN fails the range; join raises TypeError on a token not a str
+        if (0 < pr.p <= 1 and isinstance(cont, tuple) and "" not in cont
+                and "".join(cont) and isinstance(pr.translation, tuple)):
+            return None
+    except TypeError:
+        pass
+    return (f"prediction with probability {pr.p!r} and continuation {cont!r}: "
+            f"needs p in (0, 1], a non-empty tuple of non-empty str tokens "
+            f"and a tuple translation")
 
 
 def prediction_set(items: Iterable[Prediction]) -> tuple[Prediction, ...]:
     """Check items and rank them: p descending, ties lexicographic.
 
-    ValueError unless every item is well formed, as check_predictions asks,
-    and the p sum to at most 1 + 1e-9. The tokens of translations, as long as
-    the utterance, are checked by the JSON loaders only, so a set costs
-    O(k * horizon)."""
+    ValueError unless every p lies in (0, 1], every continuation is a
+    non-empty tuple of non-empty str tokens, every translation a tuple and
+    the p sum to at most 1 + 1e-9: the rule check_predictions applies. The
+    tokens of translations, as long as the utterance, are checked by the
+    JSON loaders only, so a set costs O(k * horizon)."""
     items = tuple(items)
     for pr in items:  # before sorting, which compares the tokens
-        if not _well_formed(pr):
-            raise ValueError(_needs(pr))
+        if (why := _malformed(pr)) is not None:
+            raise ValueError(why)
     ranked = tuple(sorted(items, key=lambda pr: (-pr.p, pr.continuation)))
     total = math.fsum(pr.p for pr in ranked)
     if total > 1 + _EPS:
@@ -114,8 +111,8 @@ def check_predictions(backend: object, ranked: object, k: int) -> tuple[Predicti
         raise ValueError(f"{name}.predict returned {len(ranked)} predictions, "
                          f"more than k={k}")
     for pr in ranked:
-        if not _well_formed(pr):
-            raise ValueError(f"{name}.predict: {_needs(pr)}")
+        if (why := _malformed(pr)) is not None:
+            raise ValueError(f"{name}.predict: {why}")
     total = math.fsum(pr.p for pr in ranked)
     if total > 1 + _EPS:
         raise ValueError(f"{name}.predict: probabilities sum to {total!r} > 1")

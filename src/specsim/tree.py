@@ -259,9 +259,10 @@ def prune(tree: PredictionTree, epsilon: float) -> bool:
 
 
 def leaf_hypotheses(tree: PredictionTree) -> list[tuple[tuple[str, ...], float, bool]]:
-    """Named-leaf (translation, mass, terminal) triples, mass descending then
-    translation lexicographic."""
+    """Named-leaf (translation, mass, terminal) triples, mass descending, then
+    translation lexicographic, then truncated before terminal, so the order
+    does not depend on the order of siblings."""
     out = [(n.translation, n.path_p, n.terminal) for n in tree.leaves()
            if not n.is_other]
-    out.sort(key=lambda h: (-h[1], h[0]))
+    out.sort(key=lambda h: (-h[1], h[0], h[2]))
     return out

@@ -243,9 +243,10 @@ def test_drift_never_fires_for_scripted_backend(shopping_backend, shopping_table
 
 # -- truncated hypotheses ---------------------------------------------------------
 
-# Every conditional along these sentences is at least 1/6 at order 2, so no
-# tau = 0.9 cover can leave the spoken sentence out, and each clean real-time
-# replay must translate it exactly. Multi-token and atomic phrases end where
+# Every conditional along these sentences is about 1/6 or more at order 2, so
+# the hypotheses that leave the spoken sentence at one point never hold a
+# tau = 0.9 cover between them, and each clean real-time replay must
+# translate it exactly. Multi-token and atomic phrases end where
 # a horizon of 1-4 tokens often cuts a hypothesis: "eat" alone would be
 # translated word by word, "eat rice" is an idiom.
 HORIZON_SENTENCES = [

@@ -286,6 +286,18 @@ def test_leaf_hypotheses_sorted_and_excludes_other():
     assert leaf_hypotheses(build_tree((), ())) == []
 
 
+def test_leaf_hypotheses_order_does_not_follow_sibling_order():
+    # equal mass and translation: the truncated one first, whatever the
+    # siblings' order, so a tau cut between them keeps the cover open
+    tree = build_tree((), prediction_set([Prediction(("a", END), 0.45, ("t",)),
+                                          Prediction(("b",), 0.45, ("t",))]))
+    want = [(("t",), 0.45, False), (("t",), 0.45, True)]
+    assert leaf_hypotheses(tree) == want
+    *named, other = tree.root.children
+    tree.root.children = named[::-1] + [other]
+    assert leaf_hypotheses(tree) == want
+
+
 def test_leaf_hypotheses_after_advance():
     tree = build_tree((), ps_of(("a x", 0.4, "ta"), ("b x", 0.3, "tb"),
                                 ("c x", 0.2, "tc")))
