@@ -13,7 +13,9 @@ tree is built (at the start, on re-predict and on catch-up), after an
 expansion, and after an advance that left a named node with less mass. A
 prune of a tree whose named nodes only gained mass and lost siblings since
 the last prune changes nothing, so the skipped ones would not change the log
-either.
+either. A commit whose refine leaves the template as it was skips the
+emission scan: every template change is emitted right after it, so there is
+nothing left to emit.
 
 `session.events` is the session's only record: each event is appended as
 it happens, `deliver`, `step`, `catchup` and `finalize` return the events
@@ -156,9 +158,13 @@ class Session:
         return True
 
     def _commit(self, t_ms: int):
-        """Consensus over current hypotheses, refine, emit."""
+        """Consensus over current hypotheses, refine, emit. Every template
+        change is emitted right after it, so an unchanged one (refine kept
+        it, or a conflict) has nothing left to emit."""
+        before = self.template
         self._refine(consensus(leaf_hypotheses(self.tree), self.config.tau), t_ms)
-        self._emit(t_ms)
+        if self.template is not before:
+            self._emit(t_ms)
         self._dirty = False
 
     # -- per-event processing ----------------------------------------------

@@ -16,9 +16,12 @@ at most k named children and its children's masses sum to its own.
 NoPrediction counts as the empty tuple: the other child takes all of the
 node's mass.
 
-`advance` hands back the frontier it visited, so its caller finds the
-leaves to expand without another walk, and says whether a named node lost
-mass, so its caller can skip a `prune` that would change nothing.
+`advance` visits the tree once per token. That visit also finds whether a
+named leaf survived and, on a tree with no internal node, the survivors'
+mass, so nothing walks the leaves again. It hands back the frontier it
+visited, so its caller finds the leaves to expand without another walk, and
+says whether a named node lost mass, so its caller can skip a `prune` that
+would change nothing.
 
 Two invariants hold for every tree these functions build or change:
 - every internal node has exactly one "other" child, a leaf that absorbs
@@ -35,6 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .ngram import END
 from .predictor import (Backend, NoPrediction, Prediction, check_predictions,
                         residual_mass)
 from .stream import ContextDoc
@@ -101,7 +105,7 @@ class PredictionTree:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MatchOutcome:
     """Result of advancing one observed token."""
 
@@ -113,10 +117,14 @@ class MatchOutcome:
 
 def _attach_predictions(node: TreeNode, predictions: Sequence[Prediction],
                         scale: float, depth: int):
-    """Children from ranked predictions and their residual, summing to `scale`."""
-    kids = [TreeNode(False, pr.source_tokens, pr.p * scale, pr.translation,
-                     pr.terminal, depth)
-            for pr in predictions]
+    """Children from ranked predictions and their residual, summing to `scale`.
+    The edge is the continuation without its end marker."""
+    kids = []
+    for pr in predictions:
+        cont = pr.continuation
+        terminal = bool(cont) and cont[-1] == END
+        kids.append(TreeNode(False, cont[:-1] if terminal else cont, pr.p * scale,
+                             pr.translation, terminal, depth))
     kids.append(_other(residual_mass(predictions) * scale, depth))
     node.children = kids
 
@@ -129,21 +137,24 @@ def build_tree(prefix: Sequence[str], predictions: Sequence[Prediction]) -> Pred
 
 
 def _consume(node: TreeNode, token: str, leaves: list[TreeNode],
-             inner: list[tuple[TreeNode, float]]) -> bool:
+             inner: list[tuple[TreeNode, float]]) -> tuple[bool, bool]:
     """Advance the subtree under `node` by one token, appending its surviving
     leaves, and its internal nodes with their masses before. Sets `node`'s
     mass to the sum of its surviving children and returns whether any node
-    was removed."""
+    was removed and whether a named leaf survived."""
     kept = []
-    removed = False
+    removed = named = False
     for c in node.children:
         if c.children:  # consumed; its other survives, so it does too
             inner.append((c, c.path_p))
-            removed = _consume(c, token, leaves, inner) or removed
+            sub_removed, sub_named = _consume(c, token, leaves, inner)
+            removed = removed or sub_removed
+            named = named or sub_named
         elif not c.is_other:
             if c.edge_pos == len(c.edge) or c.edge[c.edge_pos] != token:
                 continue
             c.edge_pos += 1
+            named = True
             leaves.append(c)
         else:
             leaves.append(c)
@@ -152,7 +163,7 @@ def _consume(node: TreeNode, token: str, leaves: list[TreeNode],
         node.children = kept
         removed = True
     node.path_p = math.fsum(c.path_p for c in kept)
-    return removed
+    return removed, named
 
 
 def advance(tree: PredictionTree, token: str) -> MatchOutcome:
@@ -174,15 +185,17 @@ def advance(tree: PredictionTree, token: str) -> MatchOutcome:
     """
     leaves: list[TreeNode] = []
     inner: list[tuple[TreeNode, float]] = []
-    removed = _consume(tree.root, token, leaves, inner)
+    removed, named = _consume(tree.root, token, leaves, inner)
 
-    if all(n.is_other for n in leaves):
+    if not named:
         tree.root = TreeNode(False, (), 1.0, None, False, 0)
         other = _other(1.0, 1)
         tree.root.children = [other]
         return MatchOutcome(True, True, True, [other])
 
-    s = math.fsum(n.path_p for n in leaves)
+    # without internal nodes the root's children are the leaves, and
+    # _consume set its mass to their fsum, which is correctly rounded
+    s = math.fsum(n.path_p for n in leaves) if inner else tree.root.path_p
     scaled = abs(s - 1.0) > _RENORM_SKIP
     if scaled:
         inv = 1.0 / s
@@ -262,7 +275,13 @@ def leaf_hypotheses(tree: PredictionTree) -> list[tuple[tuple[str, ...], float, 
     """Named-leaf (translation, mass, terminal) triples, mass descending, then
     translation lexicographic, then truncated before terminal, so the order
     does not depend on the order of siblings."""
-    out = [(n.translation, n.path_p, n.terminal) for n in tree.leaves()
-           if not n.is_other]
+    out = []
+    stack = list(tree.root.children)
+    while stack:
+        node = stack.pop()
+        if node.children:
+            stack.extend(node.children)
+        elif not node.is_other:
+            out.append((node.translation, node.path_p, node.terminal))
     out.sort(key=lambda h: (-h[1], h[0], h[2]))
     return out

@@ -206,6 +206,11 @@ def synthetic_workload(n_tokens=10000, seed=99):
     return transcript, model, table
 
 
+# sha256 of the C9 replay's event log; perfbench/run.py checks its first 16
+# hex digits, so a change to the hot path that alters the log fails here too
+C9_LOG_SHA256 = "3959c84daf3c8a1170c34986284603da2a619abfbf3689f2324c86e6e7b3a517"
+
+
 def test_c9_determinism_and_throughput():
     transcript, model, table = synthetic_workload()
 
@@ -220,7 +225,9 @@ def test_c9_determinism_and_throughput():
         elapsed.append(time.perf_counter() - started)
         logs.append(events_to_jsonl(events).encode("utf-8"))
         assert report.emitted_len == 10000
+        assert report.divergences == 5431
     assert logs[0] == logs[1]
+    assert hashlib.sha256(logs[0]).hexdigest() == C9_LOG_SHA256
     assert min(elapsed) < 5.0, f"10k-token replay took {min(elapsed):.2f}s"
     report_line("C9", f"byte-identical logs; 10k tokens in {min(elapsed):.2f}s "
                       f"(budget 5s)")

@@ -381,6 +381,10 @@ def check_invariants(tree):
             assert sum(c.is_other for c in node.children) == 1
             kid_sum = math.fsum(c.path_p for c in node.children)
             assert abs(kid_sum - node.path_p) <= 1e-9
+    named = [n for n in tree.leaves() if not n.is_other]
+    assert leaf_hypotheses(tree) == sorted(
+        ((n.translation, n.path_p, n.terminal) for n in named),
+        key=lambda h: (-h[1], h[0], h[2]))
 
 
 # Hypothesis counterparts of random_ps and mutate_tree: the same operations,
