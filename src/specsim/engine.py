@@ -33,7 +33,6 @@ per-session state, and its memo changes its speed, never its predictions.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -92,14 +91,16 @@ class Session:
         self.observed: list[str] = []
         self.stream = StreamTranslation(self.observed)
         self.delivered = 0
-        self.buffer: deque[TokenEvent] = deque()
+        # never more than buffer_limit + 1 events, so popping a list's head is
+        # cheap; an empty list takes 56 bytes against over 700 for a deque
+        self.buffer: list[TokenEvent] = []
         self.template: TargetTemplate = all_hole_template()
         self.emitted: list[str] = []
         self.events: list[OutputEvent] = []
         self.last_t = 0
         self.finalized = False
         self._next_drift = config.drift_window  # observed length of the next check
-        self.tree: PredictionTree
+        self.tree: PredictionTree  # None once finalized
         self._new_tree()
         self._baseline_ppl = self._context_perplexity()
 
@@ -237,7 +238,7 @@ def step(session: Session) -> list[OutputEvent]:
     if not session.buffer:
         return []
     n = len(session.events)
-    session._process(session.buffer.popleft())
+    session._process(session.buffer.pop(0))
     return session.events[n:]
 
 
@@ -276,7 +277,7 @@ def finalize(session: Session, ev: TokenEvent | None = None,
     with the full observed source; with none (typically after divergence) the
     observed source is translated directly. A conflicting filler is recorded
     and the committed template force-completes instead; emission never
-    retracts.
+    retracts. The finalized session keeps its log and output, not its tree.
     """
     if session.finalized:
         raise ValueError("session already finalized")
@@ -286,10 +287,11 @@ def finalize(session: Session, ev: TokenEvent | None = None,
             raise ValueError("finalize requires the final event")
         session._take(ev)
     while session.buffer:
-        session._process(session.buffer.popleft())
+        session._process(session.buffer.pop(0))
 
     t_ms = session.last_t
     final_tr = _final_translation(session)
+    session.tree = None  # type: ignore[assignment]
     if not session._refine(fixed_template(final_tr), t_ms):
         session.template = resolve_with(session.template, final_tr)
     session._emit(t_ms)

@@ -9,6 +9,7 @@ and safe to share across threads.
 from __future__ import annotations
 
 import json
+import json.scanner
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -126,18 +127,42 @@ def config_from_json(text: str) -> EngineConfig:
     return EngineConfig(**data)
 
 
-# json.loads decodes through one shared default decoder too; calling it
-# directly skips loads' per-call argument checks.
-_decode = json.JSONDecoder().decode
+# JSONDecoder.decode runs this scanner behind two Python-level wrappers
+# (raw_decode, and a regex for the whitespace on either side); scanning the
+# stripped line directly takes about half the time per record, and accepts
+# and refuses the same lines. The scanner clears its memo after every call.
+_scan = json.scanner.make_scanner(json.JSONDecoder())
 
 
 def _record(raw: str, lineno: int, invalid: str):
+    """The one JSON value on a line, between JSON whitespace; anything else
+    on the line (no value, a second value, trailing text) is refused."""
+    text = raw.strip(" \t\r\n")
     try:
-        return _decode(raw)
-    except json.JSONDecodeError:
+        value, end = _scan(text, 0)
+    except (StopIteration, json.JSONDecodeError):
         raise MalformedRecord(invalid, lineno) from None
     except RecursionError:
         raise MalformedRecord("JSON is nested too deeply", lineno) from None
+    if end != len(text):
+        raise MalformedRecord(invalid, lineno)
+    return value
+
+
+# The frozen __init__ sets each field through object.__setattr__; the slot
+# descriptors set them directly, in about half the time per event.
+_set_index, _set_surface, _set_t_ms, _set_final = (
+    TokenEvent.__dict__[name].__set__ for name in ("index", "surface", "t_ms", "is_final"))
+
+
+def _event(index: int, surface: str, t_ms: int, is_final: bool) -> TokenEvent:
+    """TokenEvent(index, surface, t_ms, is_final), built from checked fields."""
+    ev = object.__new__(TokenEvent)
+    _set_index(ev, index)
+    _set_surface(ev, surface)
+    _set_t_ms(ev, t_ms)
+    _set_final(ev, is_final)
+    return ev
 
 
 def parse_transcript(text: str) -> Transcript:
@@ -151,7 +176,8 @@ def parse_transcript(text: str) -> Transcript:
     Records end at a line feed only. A carriage return before it is JSON
     whitespace, so CRLF files parse alike; a lone carriage return, U+0085,
     U+2028 and U+2029 (which JSON writes unescaped inside a string) do not
-    end a record.
+    end a record. A record line holds one JSON value and nothing else but
+    JSON whitespace.
 
     Each check raises at the first failure, in the order written; on a valid
     record no exception object is built.
@@ -199,7 +225,7 @@ def parse_transcript(text: str) -> Transcript:
             raise IndexGap(f"expected index {len(events)}, got {idx}", lineno)
         if events and t_ms < last_t:
             raise NonMonotonicTime(f"t_ms {t_ms} < {last_t}", lineno)
-        events.append(TokenEvent(idx, tok, t_ms, is_final))
+        events.append(_event(idx, tok, t_ms, is_final))
         final_seen, last_t = is_final, t_ms
     if not events or not final_seen:
         raise MissingFinalMarker()

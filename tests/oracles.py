@@ -8,9 +8,12 @@ under test.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 from specsim.ngram import END
+from specsim.stream import (IndexGap, MalformedRecord, MissingFinalMarker,
+                            NonMonotonicTime, TokenEvent, Transcript)
 from specsim.template import TargetTemplate
 
 
@@ -142,3 +145,67 @@ def average_lagging_oracle(g, src_len):
             tau = j
             break
     return sum(g[j - 1] - (j - 1) / gamma for j in range(1, tau + 1)) / tau
+
+
+_decode = json.JSONDecoder().decode
+
+
+def _record_oracle(raw, lineno, invalid):
+    try:
+        return _decode(raw)
+    except json.JSONDecodeError:
+        raise MalformedRecord(invalid, lineno) from None
+    except RecursionError:
+        raise MalformedRecord("JSON is nested too deeply", lineno) from None
+
+
+def parse_transcript_oracle(text):
+    """The transcript parser built on JSONDecoder.decode, which strips the
+    JSON whitespace around one value and refuses anything after it; every
+    event goes through the TokenEvent constructor."""
+    lines = text.split("\n")
+    if not lines[0].strip():
+        raise MalformedRecord("missing header line", 1)
+    header = _record_oracle(lines[0], 1, "header is not valid JSON")
+    if not isinstance(header, dict) or "src" not in header or "tgt" not in header:
+        raise MalformedRecord("header must carry src and tgt", 1)
+    src, tgt = header["src"], header["tgt"]
+    if not isinstance(src, str) or not src or not isinstance(tgt, str) or not tgt:
+        raise MalformedRecord("language tags must be non-empty strings", 1)
+    ref = header.get("ref")
+    if ref is not None:
+        if not isinstance(ref, list) or not all(isinstance(t, str) and t for t in ref):
+            raise MalformedRecord("ref must be a list of tokens", 1)
+        ref = tuple(ref)
+
+    events = []
+    final_seen = False
+    last_t = 0
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        rec = _record_oracle(raw, lineno, "not valid JSON")
+        if not isinstance(rec, dict):
+            raise MalformedRecord("record must be a JSON object", lineno)
+        if final_seen:
+            raise MalformedRecord("event after final marker", lineno)
+        try:
+            idx, tok, t_ms = rec["i"], rec["tok"], rec["t_ms"]
+        except KeyError as missing:
+            raise MalformedRecord(f"missing field {missing}", lineno) from None
+        if type(idx) is not int or type(tok) is not str or type(t_ms) is not int:
+            raise MalformedRecord("field types must be i:int tok:str t_ms:int", lineno)
+        if not tok:
+            raise MalformedRecord("empty token", lineno)
+        is_final = rec.get("final", False)
+        if type(is_final) is not bool:
+            raise MalformedRecord("final must be true or false", lineno)
+        if idx != len(events):
+            raise IndexGap(f"expected index {len(events)}, got {idx}", lineno)
+        if events and t_ms < last_t:
+            raise NonMonotonicTime(f"t_ms {t_ms} < {last_t}", lineno)
+        events.append(TokenEvent(idx, tok, t_ms, is_final))
+        final_seen, last_t = is_final, t_ms
+    if not events or not final_seen:
+        raise MissingFinalMarker()
+    return Transcript(src, tgt, tuple(events), ref)

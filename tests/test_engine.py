@@ -3,7 +3,9 @@ drift checks, monotone emission, determinism."""
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 from collections.abc import Sequence
 
 import pytest
@@ -317,6 +319,51 @@ def test_finalize_falls_back_to_direct_translation(shopping_table):
     assert " ".join(s.emitted) == "Yesterday , I went shopping with my friend"
     assert report.accuracy == 1.0
     assert report.hit_rate == 0.0  # every token diverged against other-only trees
+
+
+def test_a_finalized_session_holds_no_tree(shopping_backend, shopping_table,
+                                           shopping_transcript):
+    s = session_for(shopping_backend, shopping_table, buffer_limit=8)
+    for ev in shopping_transcript.events[:-1]:
+        deliver(s, ev)
+    assert s.tree is not None and len(s.buffer) == 7
+    finalize(s, shopping_transcript.events[-1], shopping_transcript.reference)
+    assert s.tree is None and s.buffer == []
+    assert " ".join(s.emitted) == " ".join(shopping_transcript.reference)
+
+
+def test_sessions_sharing_a_backend_leave_traced_memory_flat():
+    """A long-lived process replaying utterance after utterance on one
+    backend keeps no memory per finished session once the memo is warm."""
+    model = train_ngram([s.split() for s in HORIZON_SENTENCES], 2, alpha=0.01)
+    backend = NgramBackend(model, HORIZON_TABLE, max_len=3)
+    config = EngineConfig(k=3, d=2, buffer_limit=2)
+    rng = random.Random(5)
+    batch = []  # substitutions re-predict, every fourth utterance catches up
+    for n in range(40):
+        toks = rng.choice(HORIZON_SENTENCES).split()
+        if rng.random() < 0.3:
+            toks[rng.randrange(len(toks))] = rng.choice(["you", "rice", "out", "zzz"])
+        batch.append((transcript_from_tokens(toks), (3,) if n % 4 == 0 else (1,)))
+
+    def replay_batch():
+        for transcript, lag in batch:
+            replay(transcript, start_session(config, CTX, backend, HORIZON_TABLE), lag)
+        gc.collect()
+
+    replay_batch()  # warm-up: fills the memo with every history the batch needs
+    tracemalloc.start()
+    try:
+        replay_batch()
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(4):
+            replay_batch()
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    # 160 sessions later: less than three finished sessions hold (about 1.3 KB
+    # each here), so no session outlives its replay
+    assert grown < 4096
 
 
 # -- randomized end-to-end properties -------------------------------------------

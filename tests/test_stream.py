@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from specsim.stream import (EngineConfig, IndexGap, MalformedRecord,
                             Transcript, TranscriptError, config_from_json,
                             parse_transcript, serialize_transcript,
                             transcript_from_tokens)
+
+from oracles import parse_transcript_oracle
 
 HEADER = '{"src":"ja","tgt":"en"}'
 
@@ -165,6 +169,13 @@ REJECTIONS = [
      MalformedRecord, "not valid JSON", 2),
     (lines(HEADER, EV0 + "\u2028" + '{"i":1,"tok":"b","t_ms":200,"final":true}'),
      MalformedRecord, "not valid JSON", 2),
+    # one JSON value per line, between JSON whitespace only
+    (lines(HEADER, FINAL0 + " " + EV0), MalformedRecord, "not valid JSON", 2),
+    (lines(HEADER, FINAL0 + "{}"), MalformedRecord, "not valid JSON", 2),
+    (lines(HEADER, FINAL0 + " x"), MalformedRecord, "not valid JSON", 2),
+    (lines(HEADER, FINAL0 + "\x0c"), MalformedRecord, "not valid JSON", 2),
+    (lines(HEADER, "\ufeff" + FINAL0), MalformedRecord, "not valid JSON", 2),
+    (lines(HEADER + " " + HEADER, FINAL0), MalformedRecord, "header is not valid JSON", 1),
 ]
 
 
@@ -235,6 +246,103 @@ def test_roundtrip_property_on_arbitrary_unicode_tokens(toks, ref):
     text = serialize_transcript(tr)
     assert parse_transcript(text) == tr
     assert parse_transcript(text.replace("\n", "\r\n")) == tr
+
+
+# JSON values that are not a valid i or t_ms: the decoder maps NaN and the
+# infinities to floats, 1e400 overflows to one, and true/false are bools
+ODD_NUMBERS = ["NaN", "-Infinity", "Infinity", "1e400", "true", "false", "1.0", "-0",
+               "null", '"1"', "[]"]
+# lines that str.strip blanks out, JSON whitespace or not
+BLANKS = ["", " ", "\t", "\r", "\x0c", "\x85", " \x0b ", "\u2028", "\u3000"]
+TRAILERS = [" x", "}", ",", "]", " //", "\r\r", "\x0c", "\ufeff", " 1"]
+
+
+@st.composite
+def transcript_texts(draw):
+    """Mostly valid transcripts with a few lines broken in ways a line-based
+    JSON reader can get wrong."""
+    header = st.sampled_from(['{"src":"ja","tgt":"en"}', '{"src":"ja","tgt":"en","ref":[]}',
+                              '{"src":"ja","tgt":"en","ref":["I","ate"]}'])
+    if not draw(st.integers(0, 5)):
+        header = st.sampled_from(['{"src":"ja"}', "[1]", "", '{"src":"","tgt":"en"}',
+                                  '{"src":"ja","tgt":"en","ref":["I",""]}'])
+    lines = [draw(header)]
+    n = draw(st.integers(1, 5))
+    t = 0
+    for i in range(n):
+        t += draw(st.integers(0, 50))
+        rec = {"i": i, "tok": draw(st.text(min_size=1, max_size=3)), "t_ms": t}
+        if i == n - 1:
+            rec["final"] = True
+        lines.append(json.dumps(rec, ensure_ascii=draw(st.booleans())))
+    for _ in range(draw(st.integers(0, 3))):
+        first = 0 if len(lines) == 1 or not draw(st.integers(0, 4)) else 1  # mostly a record
+        at = draw(st.integers(first, len(lines) - 1))
+        line = lines[at]
+        kind = draw(st.sampled_from(["blank", "pad", "two", "trail", "odd", "deep",
+                                     "nested", "bom", "cr", "swap", "drop"]))
+        if kind == "swap":  # out of order: an index gap, time backwards, a late final
+            other = draw(st.integers(first, len(lines) - 1))
+            lines[at], lines[other] = lines[other], line
+        elif kind == "drop":
+            if at:  # a record, never the header
+                del lines[at]
+        elif kind == "blank":
+            lines.insert(at + 1, draw(st.sampled_from(BLANKS)))
+        elif kind == "pad":  # JSON whitespace, or not, on either side
+            pad = st.sampled_from(["", " ", "\t", "\r", " \t\r", "\x0c", "\xa0"])
+            lines[at] = draw(pad) + line + draw(pad)
+        elif kind == "two":
+            lines[at] = line + draw(st.sampled_from(["", " ", "\t", "\r"])) + line
+        elif kind == "trail":
+            lines[at] = line + draw(st.sampled_from(TRAILERS))
+        elif kind == "odd":
+            field = draw(st.sampled_from(["i", "tok", "t_ms", "final"]))
+            values = {"i": at - 1, "tok": '"a"', "t_ms": 10 * at, "final": "false"}
+            values[field] = draw(st.sampled_from(ODD_NUMBERS + ['""']))
+            lines[at] = '{"i": %s, "tok": %s, "t_ms": %s, "final": %s}' % (
+                values["i"], values["tok"], values["t_ms"], values["final"])
+        elif kind == "deep":  # past any recursion limit
+            lines[at] = draw(st.sampled_from(["[" * 100000, '{"a":' * 50000,
+                                              '{"i":0,"tok":' + "[" * 100000]))
+        elif kind == "nested":  # closed, and under the limit
+            depth = draw(st.integers(1, 40))
+            lines[at] = '{"x":' + "[" * depth + "]" * depth + "," + line[1:]
+        elif kind == "bom":
+            lines[at] = "\ufeff" + line
+        else:  # a lone carriage return does not end a record
+            lines[at] = line + "\r" + line
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except TranscriptError as err:
+        return type(err), err.line, str(err)
+
+
+@settings(derandomize=True, max_examples=600, database=None, deadline=None)
+@given(transcript_texts())
+def test_parse_agrees_with_the_decode_based_parser(text):
+    # an equal Transcript, or the same error class, line and message
+    assert _outcome(parse_transcript, text) == _outcome(parse_transcript_oracle, text)
+
+
+def test_parsed_events_are_frozen_and_equal_constructed_ones():
+    tr = parse_transcript(lines(HEADER, '{"i":0,"tok":"a","t_ms":5}',
+                                '{"i":1,"tok":"b","t_ms":9,"final":true}'))
+    built = (TokenEvent(0, "a", 5), TokenEvent(1, "b", 9, is_final=True))
+    assert tr.events == built
+    for ev, want in zip(tr.events, built):
+        assert type(ev) is TokenEvent
+        assert (hash(ev), repr(ev)) == (hash(want), repr(want))
+        with pytest.raises(FrozenInstanceError):
+            ev.index = 7  # type: ignore[misc]
+        with pytest.raises(FrozenInstanceError):
+            ev.is_final = True  # type: ignore[misc]
+    assert tr.events[1].is_final is True and tr.events[0].is_final is False
 
 
 def test_transcript_from_tokens_builder():
