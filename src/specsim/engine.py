@@ -13,7 +13,10 @@ tree is built (at the start, on re-predict and on catch-up), after an
 expansion, and after an advance that left a named node with less mass. A
 prune of a tree whose named nodes only gained mass and lost siblings since
 the last prune changes nothing, so the skipped ones would not change the log
-either. A commit whose refine leaves the template as it was skips the
+either. A commit whose named leaves hold less than tau of the mass changes
+nothing: consensus below tau is the all-hole template, and refine keeps the
+committed template for it. So such a commit is skipped before its leaves are
+sorted. A commit whose refine leaves the template as it was skips the
 emission scan: every template change is emitted right after it, so there is
 nothing left to emit.
 
@@ -41,11 +44,11 @@ from .phrases import (PhraseTable, PrefixView, StreamTranslation, idiom_spans,
                       translate)
 from .predictor import Backend, NoPrediction, check_predictions
 from .stream import ContextDoc, EngineConfig, TokenEvent
-from .template import (RevisionConflict, TargetTemplate, all_hole_template,
-                       consensus, emittable, extend_into_hole, fixed_template,
-                       refine, resolve_with)
+from .template import (_TAU_SLACK, RevisionConflict, TargetTemplate,
+                       all_hole_template, consensus, emittable, extend_into_hole,
+                       fixed_template, refine, resolve_with)
 from .tree import (PredictionTree, advance, build_tree, expand,
-                   expandable_leaves, leaf_hypotheses, prune)
+                   expandable_leaves, leaf_hypotheses, named_mass, prune)
 
 
 class OutOfOrderToken(ValueError):
@@ -161,12 +164,20 @@ class Session:
     def _commit(self, t_ms: int):
         """Consensus over current hypotheses, refine, emit. Every template
         change is emitted right after it, so an unchanged one (refine kept
-        it, or a conflict) has nothing left to emit."""
+        it, or a conflict) has nothing left to emit.
+
+        A named mass below tau - 2 * _TAU_SLACK returns early, before the
+        leaves are sorted: consensus's running sum of the same masses is
+        within n ulps of their correctly rounded sum, so it cannot reach
+        tau - _TAU_SLACK, the consensus would be the all-hole template, and
+        refine keeps the committed template for that."""
+        self._dirty = False
+        if named_mass(self.tree) < self.config.tau - 2 * _TAU_SLACK:
+            return
         before = self.template
         self._refine(consensus(leaf_hypotheses(self.tree), self.config.tau), t_ms)
         if self.template is not before:
             self._emit(t_ms)
-        self._dirty = False
 
     # -- per-event processing ----------------------------------------------
 

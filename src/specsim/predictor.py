@@ -17,8 +17,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-import urllib.error
-import urllib.request
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
@@ -290,6 +288,10 @@ Transport = Callable[[str, bytes, float], tuple[int, bytes]]
 
 
 def _http_post(url: str, payload: bytes, timeout_s: float) -> tuple[int, bytes]:
+    # imported on first use: urllib.request loads ssl and http.client, which
+    # every session without a remote backend would carry for nothing
+    import urllib.request
+
     req = urllib.request.Request(url, data=payload,
                                  headers={"Content-Type": "application/json"})
     with urllib.request.urlopen(req, timeout=timeout_s) as resp:
@@ -315,7 +317,7 @@ class RemoteBackend:
         payload = json.dumps(body, ensure_ascii=False).encode("utf-8")
         try:
             status, raw = self._transport(self.url, payload, self.timeout_ms / 1000.0)
-        except (urllib.error.URLError, TimeoutError, OSError) as exc:
+        except OSError as exc:  # URLError and TimeoutError among them
             raise NoPrediction(f"unreachable: {exc}") from exc
         if status != 200:
             raise NoPrediction(f"status {status}")

@@ -271,6 +271,20 @@ def prune(tree: PredictionTree, epsilon: float) -> bool:
     return changed
 
 
+def named_mass(tree: PredictionTree) -> float:
+    """The named leaves' total mass, correctly rounded, in one walk and
+    without the sort that `leaf_hypotheses` does."""
+    masses = []
+    stack = [tree.root]
+    while stack:
+        for node in stack.pop().children:
+            if node.children:
+                stack.append(node)
+            elif not node.is_other:
+                masses.append(node.path_p)
+    return math.fsum(masses)
+
+
 def leaf_hypotheses(tree: PredictionTree) -> list[tuple[tuple[str, ...], float, bool]]:
     """Named-leaf (translation, mass, terminal) triples, mass descending, then
     translation lexicographic, then truncated before terminal, so the order

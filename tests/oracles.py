@@ -14,7 +14,8 @@ import math
 from specsim.ngram import END
 from specsim.stream import (IndexGap, MalformedRecord, MissingFinalMarker,
                             NonMonotonicTime, TokenEvent, Transcript)
-from specsim.template import TargetTemplate
+from specsim.template import TargetTemplate, consensus
+from specsim.tree import leaf_hypotheses
 
 
 def classic_levenshtein(a, b) -> int:
@@ -60,6 +61,17 @@ def consensus_oracle(hyps, tau) -> TargetTemplate:
         s = shortest - p
     first = cover[0]
     return TargetTemplate(tuple(first[:p]), tuple(first[len(first) - s:]))
+
+
+def commit_oracle(session, t_ms):
+    """Session._commit without the skip below tau: every commit sorts the
+    named leaves, takes their consensus and refines by it, and emits when
+    the template changed."""
+    before = session.template
+    session._refine(consensus(leaf_hypotheses(session.tree), session.config.tau), t_ms)
+    if session.template is not before:
+        session._emit(t_ms)
+    session._dirty = False
 
 
 def enumerate_continuations(model, prefix, k, max_len):

@@ -4,6 +4,7 @@ drift checks, monotone emission, determinism."""
 from __future__ import annotations
 
 import gc
+import math
 import random
 import tracemalloc
 from collections.abc import Sequence
@@ -21,9 +22,11 @@ from specsim.phrases import PhraseTable, translate
 from specsim.predictor import NgramBackend, NoPrediction, Prediction, ScriptedBackend
 from specsim.replay import events_to_jsonl, replay
 from specsim.stream import ContextDoc, EngineConfig, TokenEvent, transcript_from_tokens
-from specsim.tree import prune
+from specsim.template import _TAU_SLACK, all_hole_template
+from specsim.tree import leaf_hypotheses, named_mass, prune
 
 from conftest import make_scenario, random_config
+from oracles import commit_oracle
 
 CTX = ContextDoc("daily-life")
 
@@ -726,3 +729,107 @@ def test_prefix_view_keeps_its_build_time_tokens():
         view[3]
     with pytest.raises(IndexError):
         view[-4]
+
+
+# -- the commit below tau -------------------------------------------------------
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       tau=st.one_of(st.floats(0.06, 1.0), st.sampled_from([0.5, 0.75, 0.9, 1.0])),
+       profile=st.lists(st.integers(1, 4), min_size=1, max_size=4))
+def test_a_commit_matches_the_unskipped_commit_after_every_tick(seed, tau, profile):
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(4)]
+    corpus = [[rng.choice(vocab) for _ in range(rng.randint(2, 6))]
+              for _ in range(rng.randint(1, 5))]
+    table = PhraseTable({**{(w,): (w.upper(),) for w in vocab},
+                         ("w0", "w1"): ("W01",), ("w2", "w3"): ("W2", "W3")},
+                        atomic=[("w2", "w3")])
+    backend = NgramBackend(train_ngram(corpus, rng.randint(1, 3), rng.choice([0.1, 0.01])),
+                           table, max_len=rng.randint(1, 3))
+    cfg = EngineConfig(k=rng.randint(1, 4), d=rng.randint(1, 3),
+                       epsilon=rng.choice([0.01, 0.05]), tau=tau,
+                       buffer_limit=rng.randint(1, 4))
+    tokens = rng.choice(corpus) + rng.choice(corpus)
+    if rng.random() < 0.3:
+        tokens[rng.randrange(len(tokens))] = rng.choice(vocab)
+    transcript = transcript_from_tokens(tokens, reference=translate(table, tokens))
+    fast = start_session(cfg, CTX, backend, table)
+    slow = start_session(cfg, CTX, backend, table)
+    slow._commit = lambda t_ms: commit_oracle(slow, t_ms)
+    for (got, got_report), (want, want_report) in zip(
+            replay_ticks(fast, transcript, profile), replay_ticks(slow, transcript, profile)):
+        assert events_to_jsonl(got) == events_to_jsonl(want)
+        assert got_report == want_report
+        assert fast.template == slow.template
+
+
+def record_commit_calls(monkeypatch):
+    """The names the commit looks up in the engine, in call order."""
+    calls = []
+    for name in ("leaf_hypotheses", "consensus", "refine"):
+        def recorded(*args, _fn=getattr(engine, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(engine, name, recorded)
+    return calls
+
+
+TAU = 0.5
+COMMIT_BOUND = TAU - 2 * _TAU_SLACK
+
+
+def session_with_named_mass(mass):
+    backend = ScriptedBackend({(CTX.id, ()): [Prediction(("x", "y", END), mass, ("X", "Y"))]})
+    session = session_for(backend, PhraseTable({}), tau=TAU)
+    assert named_mass(session.tree) == mass
+    return session
+
+
+def test_a_commit_an_ulp_below_the_bound_is_skipped(monkeypatch):
+    session = session_with_named_mass(math.nextafter(COMMIT_BOUND, 0.0))
+    calls = record_commit_calls(monkeypatch)
+    before = session.template
+    session._commit(0)
+    assert calls == []
+    assert session.template is before and session.events == []
+    assert not session._dirty
+
+
+def test_a_commit_at_the_bound_runs_the_full_path(monkeypatch):
+    session = session_with_named_mass(COMMIT_BOUND)
+    calls = record_commit_calls(monkeypatch)
+    before = session.template
+    session._commit(0)
+    assert calls == ["leaf_hypotheses", "consensus", "refine"]
+    # the cover still misses tau - _TAU_SLACK, so nothing is committed
+    assert session.template is before and session.template == all_hole_template()
+    assert not session._dirty
+
+
+# "a" is cut at the horizon, so observing it expands it: the tree has an
+# internal node whose mass the named mass must not count
+EXPANDING = ScriptedBackend({
+    (CTX.id, ()): [Prediction(("a",), 0.6, ("A",)), Prediction(("b", END), 0.3, ("B",))],
+    (CTX.id, ("a",)): [Prediction(("c", END), 0.5, ("A", "C")),
+                       Prediction(("d", END), 0.2, ("A", "D"))],
+})
+
+
+@pytest.mark.parametrize("tau, commits, emitted", [(0.55, True, ["A"]), (0.9, False, [])])
+def test_the_named_mass_of_an_expanded_tree_decides_the_commit(monkeypatch, tau,
+                                                               commits, emitted):
+    fast, slow = [session_for(EXPANDING, PhraseTable({}), k=2, tau=tau) for _ in range(2)]
+    slow._commit = lambda t_ms: commit_oracle(slow, t_ms)
+    calls = record_commit_calls(monkeypatch)
+    feed(fast, TokenEvent(0, "a", 0))
+    inner = [n for n in fast.tree.walk() if n.children and n is not fast.tree.root]
+    assert len(inner) == 1
+    mass = named_mass(fast.tree)
+    assert mass == math.fsum(m for _, m, _ in leaf_hypotheses(fast.tree))
+    assert mass == pytest.approx(0.6) and inner[0].path_p == pytest.approx(0.6 / 0.7)
+    assert ("leaf_hypotheses" in calls) == commits
+    feed(slow, TokenEvent(0, "a", 0))
+    assert fast.emitted == slow.emitted == emitted
+    assert fast.events == slow.events and fast.template == slow.template

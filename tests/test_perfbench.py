@@ -45,7 +45,9 @@ def test_a_traced_session_reaches_every_span():
     a burst over the buffer limit runs a catch-up, a final token that no
     hypothesis predicted, and that no sentence ends with, leaves finalize no
     finished hypothesis, so it translates the stream, and a reference is
-    scored."""
+    scored. That session's named mass never reaches tau, so its commits are
+    skipped before the leaves are sorted; a second session on a one-sentence
+    corpus holds over 0.9 of the mass in one hypothesis and commits it."""
     spans = load_spans()
     model = train_ngram([["a", "b", "c", "d", "e"], ["a", "b", "d", "c", "e"]], 2)
     table = PhraseTable({("a",): ("A",), ("b", "c"): ("BC",), ("d",): ("D",)},
@@ -64,5 +66,10 @@ def test_a_traced_session_reaches_every_span():
                 engine.deliver(session, ev)
             engine.step(session)
         engine.finalize(session, events[7], ("A", "BC", "D", "e", "A", "b", "A"))
+        sure = NgramBackend(train_ngram([["x", "y"]], 2, alpha=0.01), table, max_len=3)
+        session = engine.start_session(EngineConfig(), ContextDoc("c"), sure, table)
+        engine.deliver(session, TokenEvent(0, "x", 0))
+        engine.step(session)
+        engine.finalize(session, TokenEvent(1, "y", 100, is_final=True))
     assert [name for name in tracer.names if tracer.count(name) == 0] == []
     assert all(math.isfinite(v) for v in tracer.observed(1).values())

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import threading
 import unittest.mock
+import urllib.error
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -312,6 +316,7 @@ def test_remote_overshoot_rescaled():
 
 @pytest.mark.parametrize("kwargs", [
     {"exc": TimeoutError("deadline")},
+    {"exc": urllib.error.URLError("connection refused")},
     {"status": 500},
     {"body": b"not json"},
     {"items": [{"cont": [], "p": 0.5, "tr": []}]},
@@ -333,6 +338,17 @@ def test_remote_failures_surface_as_no_prediction(kwargs):
     backend = RemoteBackend("http://h:1", transport=fake_transport(**kwargs))
     with pytest.raises(NoPrediction):
         backend.predict(CTX, (), 4)
+
+
+def test_importing_specsim_loads_no_http_client():
+    # a fresh interpreter: this one has imported urllib for the tests
+    src = os.path.dirname(os.path.dirname(predictor.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, specsim; print(sorted(m for m in "
+            "('urllib.request', 'ssl', 'http.client') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
 
 
 def test_remote_against_live_local_server():
