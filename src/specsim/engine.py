@@ -18,7 +18,12 @@ nothing: consensus below tau is the all-hole template, and refine keeps the
 committed template for it. So such a commit is skipped before its leaves are
 sorted. A commit whose refine leaves the template as it was skips the
 emission scan: every template change is emitted right after it, so there is
-nothing left to emit.
+nothing left to emit. Commits run only on ticks on which the hypotheses
+changed (a new tree counts as a change), so a conflict is logged once per
+tick on which the hypotheses changed; a standing conflict is not logged
+again on the ticks between.
+`ReferenceSession` in `tests/oracles.py`, which skips none of these steps,
+is their executable spec: the engine must match it tick for tick.
 
 `session.events` is the session's only record: each event is appended as
 it happens, `deliver`, `step`, `catchup` and `finalize` return the events

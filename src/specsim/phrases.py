@@ -61,9 +61,6 @@ class PhraseTable:
     def entries(self) -> dict[tuple[str, ...], tuple[str, ...]]:
         return dict(self._entries)
 
-    def is_atomic(self, source: Sequence[str]) -> bool:
-        return tuple(source) in self._atomic
-
     def atomic_targets(self) -> list[tuple[str, ...]]:
         """Target sides of atomic entries, longest first then lexicographic."""
         targets = {self._entries[src] for src in self._atomic if self._entries[src]}

@@ -46,15 +46,6 @@ class Prediction:
     p: float
     translation: tuple[str, ...]
 
-    @property
-    def terminal(self) -> bool:
-        return bool(self.continuation) and self.continuation[-1] == END
-
-    @property
-    def source_tokens(self) -> tuple[str, ...]:
-        """Continuation without the end marker."""
-        return self.continuation[:-1] if self.terminal else self.continuation
-
 
 def _malformed(pr: object) -> str | None:
     """Why pr is not a Prediction with p in (0, 1], a non-empty tuple of
@@ -271,8 +262,8 @@ class NgramBackend:
         out, pending = split_prefix(self.table, prefix)
         tails = tails_by_pending.get(pending)
         if tails is None:
-            tails = tuple(translate(self.table, pending + pr.source_tokens)
-                          if pr.terminal else
+            tails = tuple(translate(self.table, pending + pr.continuation[:-1])
+                          if pr.continuation[-1] == END else
                           settled_translation(self.table, pending + pr.continuation)
                           for pr in ranked)
             if len(pending) < self.model.order:

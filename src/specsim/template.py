@@ -65,9 +65,6 @@ class TargetTemplate:
     def render(self) -> str:
         return " ".join("[*]" if s is None else s for s in self.slots)
 
-    def complete(self) -> bool:
-        return self.suffix is None
-
 
 def all_hole_template() -> TargetTemplate:
     return TargetTemplate((), ())

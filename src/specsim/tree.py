@@ -85,9 +85,6 @@ class PredictionTree:
     def leaves(self) -> Iterator[TreeNode]:
         return (n for n in self.walk() if not n.children and n is not self.root)
 
-    def total_mass(self) -> float:
-        return math.fsum(n.path_p for n in self.leaves())
-
     def dump(self) -> str:
         """Deterministic indented rendering used by golden tests."""
         lines = [f". p={self.root.path_p:.4f}"]

@@ -1,4 +1,4 @@
-"""Shared fixtures: golden files, toy models, randomized scenario generator."""
+"""Shared fixtures: golden files, toy models, randomized scenario generators."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 
 from specsim.ngram import END, train_ngram
 from specsim.phrases import PhraseTable, parse_phrase_table, translate
-from specsim.predictor import Prediction, ScriptedBackend, load_scripted_fixture
+from specsim.predictor import NgramBackend, Prediction, ScriptedBackend, load_scripted_fixture
 from specsim.stream import ContextDoc, EngineConfig, Transcript, parse_transcript, transcript_from_tokens
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -108,3 +108,35 @@ def random_config(rng: random.Random) -> EngineConfig:
         tau=rng.choice([0.6, 0.75, 0.9]),
         buffer_limit=rng.randint(1, 6),
     )
+
+
+def make_ngram_scenario(rng: random.Random, tau: float):
+    """One randomized n-gram scenario at threshold tau.
+
+    Returns (transcript, backend, table, context, config). The source is two
+    corpus sentences, with one token substituted in 30 % of cases; the table
+    holds an atomic idiom; 30 % of contexts carry a body, with drift checks
+    every 2 to 4 tokens. Horizons of 1 to 4 tokens truncate hypotheses,
+    which the session then expands.
+    """
+    vocab = [f"w{i}" for i in range(4)]
+    corpus = [[rng.choice(vocab) for _ in range(rng.randint(2, 6))]
+              for _ in range(rng.randint(1, 5))]
+    table = PhraseTable({**{(w,): (w.upper(),) for w in vocab},
+                         ("w0", "w1"): ("W01",), ("w2", "w3"): ("W2", "W3")},
+                        atomic=[("w2", "w3")])
+    model = train_ngram(corpus, rng.randint(1, 3), rng.choice([0.1, 0.01]))
+    backend = NgramBackend(model, table, max_len=rng.randint(1, 4))
+    body: tuple[str, ...] = ()
+    if rng.random() < 0.3:
+        body = tuple(rng.choice(corpus))
+    config = EngineConfig(k=rng.randint(1, 5), d=rng.randint(1, 3),
+                          epsilon=rng.choice([0.01, 0.05]), tau=tau,
+                          buffer_limit=rng.randint(1, 4),
+                          drift_ratio=rng.choice([1.2, 2.0]),
+                          drift_window=rng.randint(2, 4))
+    tokens = rng.choice(corpus) + rng.choice(corpus)
+    if rng.random() < 0.3:
+        tokens[rng.randrange(len(tokens))] = rng.choice(vocab)
+    transcript = transcript_from_tokens(tokens, reference=translate(table, tokens))
+    return transcript, backend, table, ContextDoc("ctx", body), config

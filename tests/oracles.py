@@ -1,8 +1,8 @@
 """Independent brute-force oracles the implementation is checked against.
 
 Everything here recomputes expected values from first principles (exhaustive
-enumeration, quadratic scans, classic DP) without touching the code paths
-under test.
+enumeration, quadratic scans, classic DP, the engine's loop without its
+skips) without touching the code paths under test.
 """
 
 from __future__ import annotations
@@ -11,11 +11,13 @@ import itertools
 import json
 import math
 
+from specsim.engine import OutputEvent, Session
 from specsim.ngram import END
+from specsim.predictor import NgramBackend
 from specsim.stream import (IndexGap, MalformedRecord, MissingFinalMarker,
                             NonMonotonicTime, TokenEvent, Transcript)
 from specsim.template import TargetTemplate, consensus
-from specsim.tree import leaf_hypotheses
+from specsim.tree import advance, expand, expandable_leaves, leaf_hypotheses, prune
 
 
 def classic_levenshtein(a, b) -> int:
@@ -63,15 +65,70 @@ def consensus_oracle(hyps, tau) -> TargetTemplate:
     return TargetTemplate(tuple(first[:p]), tuple(first[len(first) - s:]))
 
 
-def commit_oracle(session, t_ms):
-    """Session._commit without the skip below tau: every commit sorts the
-    named leaves, takes their consensus and refines by it, and emits when
-    the template changed."""
-    before = session.template
-    session._refine(consensus(leaf_hypotheses(session.tree), session.config.tau), t_ms)
-    if session.template is not before:
-        session._emit(t_ms)
-    session._dirty = False
+class MemolessNgramBackend:
+    """An NgramBackend's predictions without its memo or the caller's
+    stream: every call searches a fresh backend from a tuple prefix."""
+
+    def __init__(self, backend: NgramBackend):
+        self.model, self.table, self.max_len = backend.model, backend.table, backend.max_len
+
+    def predict(self, context, prefix, k):
+        fresh = NgramBackend(self.model, self.table, self.max_len)
+        return fresh.predict(context, tuple(prefix), k)
+
+    def perplexity(self, window):
+        return self.model.perplexity(window)
+
+
+class ReferenceSession(Session):
+    """The paper's loop with no skip, the executable spec of the engine's.
+
+    Each hit tick expands every expandable leaf of a fresh walk, from a
+    tuple of the observed prefix, and prunes. A commit runs consensus,
+    refine and emission in full whenever the named leaves differ from the
+    last commit's on this tree. An n-gram backend loses its memo and stream.
+    `expansions` counts the leaves expanded."""
+
+    def __init__(self, config, context, backend, table):
+        if isinstance(backend, NgramBackend):
+            backend = MemolessNgramBackend(backend)
+        self.expansions = 0
+        super().__init__(config, context, backend, table)
+
+    def _new_tree(self):
+        super()._new_tree()
+        self._committed = None  # a new tree always commits
+
+    def _process(self, ev):
+        token, t_ms = ev.surface, ev.t_ms
+        self.observed.append(token)
+        cfg = self.config
+        if advance(self.tree, token).diverged:
+            self.events.append(OutputEvent("diverge", t_ms))
+            self.events.append(OutputEvent("repredict", t_ms))
+            self._new_tree()
+        else:
+            for leaf in expandable_leaves(list(self.tree.leaves()), cfg.d):
+                self.expansions += expand(self.tree, leaf, self.backend, self.context,
+                                          tuple(self.observed), cfg.k)
+            prune(self.tree, cfg.epsilon)
+        hyps = leaf_hypotheses(self.tree)
+        if hyps != self._committed:
+            self._committed = hyps
+            self._refine(consensus(hyps, cfg.tau), t_ms)
+            self._emit(t_ms)
+        self._drift_check(t_ms)
+
+
+def tree_state(tree):
+    """Every node of the tree in walk order, as the engine can see it."""
+    return [(n.is_other, n.edge, n.edge_pos, n.path_p, n.translation, n.terminal,
+             len(n.children)) for n in tree.walk()]
+
+
+def total_mass(tree) -> float:
+    """The leaves' mass, correctly rounded."""
+    return math.fsum(n.path_p for n in tree.leaves())
 
 
 def enumerate_continuations(model, prefix, k, max_len):

@@ -14,6 +14,8 @@ from specsim.phrases import PhraseTable
 from specsim.predictor import Prediction, check_predictions
 from specsim.stream import ContextDoc, EngineConfig, TokenEvent
 
+from oracles import total_mass
+
 CTX = ContextDoc("ctx")
 PROPERTY = settings(derandomize=True, max_examples=400, database=None, deadline=None)
 
@@ -79,7 +81,7 @@ class DrawnBackend:
 
 
 def check_mass(tree):
-    assert abs(tree.total_mass() - 1.0) <= 1e-9
+    assert abs(total_mass(tree) - 1.0) <= 1e-9
     assert all(n.path_p >= 0 for n in tree.leaves() if n.is_other)
 
 

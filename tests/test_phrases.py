@@ -80,8 +80,7 @@ def test_parse_phrase_table_format():
     text = "a b\tx y\natomic one\tidiom target\tatomic\n# comment\n"
     t = parse_phrase_table(text)
     assert translate(t, ["a", "b"]) == ("x", "y")
-    assert t.is_atomic(("atomic", "one"))
-    assert not t.is_atomic(("a", "b"))
+    assert t.atomic_targets() == [("idiom", "target")]
     with pytest.raises(ValueError):
         parse_phrase_table("only one field\n")
     with pytest.raises(ValueError):
@@ -108,7 +107,7 @@ def test_parse_phrase_table_splits_lines_at_newline_only(sep):
 def test_parse_phrase_table_reads_crlf_files():
     t = parse_phrase_table("a b\tX Y\r\nc\tZ\tatomic\r\n# note\r\n\r\n")
     assert translate(t, ["a", "b", "c"]) == ("X", "Y", "Z")
-    assert t.is_atomic(("c",)) and not t.is_atomic(("a", "b"))
+    assert t.atomic_targets() == [("Z",)]
     with pytest.raises(ValueError, match="^line 2: duplicate"):
         parse_phrase_table("a\tX\r\na\tY\r\n")
 
@@ -123,7 +122,7 @@ def test_a_table_ignores_later_changes_to_what_it_was_built_from():
     atomic.append(("c",))
     atomic.remove(("a", "b"))
     assert t.entries() == {("a", "b"): ("X", "Y"), ("c",): ("Z",)}
-    assert t.max_source_len == 2 and t.is_atomic(("a", "b")) and not t.is_atomic(("c",))
+    assert t.max_source_len == 2 and t.atomic_targets() == [("X", "Y")]
     assert translate(t, ["a", "b", "c", "d", "e"]) == ("X", "Y", "Z", "d", "e")
     assert [(s.start, s.end) for s in idiom_spans(t, ["Z", "X", "Y", "W"])] == [(1, 3)]
 

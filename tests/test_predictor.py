@@ -54,7 +54,7 @@ def test_scripted_backend_shopping_prefix(shopping_backend):
     assert [pr.p for pr in ps] == [0.4, 0.3, 0.2]
     assert residual_mass(ps) == pytest.approx(0.1, abs=1e-9)
     assert ps[0].translation[-3:] == ("with", "my", "friend")
-    assert all(pr.terminal for pr in ps)
+    assert all(pr.continuation[-1] == END for pr in ps)
 
 
 def test_scripted_backend_unknown_prefix_raises(shopping_backend):
@@ -148,8 +148,8 @@ def test_ngram_backend_matches_model_and_translates():
     assert [pr.continuation for pr in ps] == [c for c, _ in want]
     assert [pr.p for pr in ps] == [p for _, p in want]
     for pr in ps:
-        src = ("a",) + pr.source_tokens
-        assert pr.translation == translate(table, src)
+        assert pr.continuation[-1] == END
+        assert pr.translation == translate(table, ("a",) + pr.continuation[:-1])
 
 
 def test_ngram_backend_deterministic_and_cached():
@@ -258,7 +258,8 @@ def test_a_memo_hit_equals_a_cold_search(corpus, order, max_len, entries, cache_
             # a truncated hypothesis translates to the part no later token
             # can change
             assert all(pr.translation == (
-                translate(table, prefix + pr.source_tokens) if pr.terminal
+                translate(table, prefix + pr.continuation[:-1])
+                if pr.continuation[-1] == END
                 else settled_translation(table, prefix + pr.continuation))
                 for pr in cold)
             assert warm.predict(CTX, view, k) == cold

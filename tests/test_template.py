@@ -32,7 +32,7 @@ def test_consensus_single_certain_hypothesis_no_hole():
     t = consensus([(("a", "b", "c"), 1.0, True)], tau=0.9)
     assert t == TargetTemplate(("a", "b", "c"))
     assert t.slots == ("a", "b", "c")
-    assert t.complete()
+    assert t.suffix is None
 
 
 def test_consensus_disjoint_hypotheses_single_hole():
@@ -177,7 +177,7 @@ def test_refine_random_monotonicity():
         assert isinstance(merged, TargetTemplate), merged
         assert merged.prefix[:len(committed.prefix)] == committed.prefix
         # committed suffix stays anchored at the end
-        tail = merged.prefix if merged.complete() else merged.suffix
+        tail = merged.prefix if merged.suffix is None else merged.suffix
         suf_c = committed.suffix or ()
         assert tail[len(tail) - len(suf_c):] == suf_c
 
@@ -210,7 +210,7 @@ def test_refine_pinned_on_every_small_pair():
 
 
 def _end(t):
-    return t.prefix if t.complete() else t.suffix
+    return t.prefix if t.suffix is None else t.suffix
 
 
 _toks = st.lists(st.sampled_from(["a", "b"]), max_size=5).map(tuple)
@@ -227,7 +227,7 @@ def test_refine_keeps_committed_edges_and_is_idempotent(committed, fresh):
     end, end_c = _end(out), _end(committed)
     assert end[len(end) - len(end_c):] == end_c
     assert len(out.fixed_tokens()) >= len(committed.fixed_tokens())
-    if committed.complete():
+    if committed.suffix is None:
         assert out is committed
     assert refine(out, fresh) == out
 

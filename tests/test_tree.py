@@ -19,7 +19,7 @@ from specsim.stream import ContextDoc, EngineConfig
 from specsim.tree import (advance, build_tree, expand, expandable_leaves,
                           leaf_hypotheses, prune)
 
-from oracles import tree_survivor_oracle
+from oracles import total_mass, tree_survivor_oracle
 
 CTX = ContextDoc("ctx")
 
@@ -61,7 +61,7 @@ def test_build_tree_shopping_masses():
     assert [n.path_p for n in named] == [0.4, 0.3, 0.2]
     assert len(other) == 1
     assert other[0].path_p == pytest.approx(0.1, abs=1e-9)
-    assert tree.total_mass() == pytest.approx(1.0, abs=1e-12)
+    assert total_mass(tree) == pytest.approx(1.0, abs=1e-12)
     assert all(n.terminal for n in named)
 
 
@@ -76,7 +76,7 @@ def test_build_tree_single_certain_prediction():
 def test_build_tree_no_prediction_is_other_only():
     tree = build_tree(("x",), ())
     assert named_leaves(tree) == []
-    assert tree.total_mass() == 1.0
+    assert total_mass(tree) == 1.0
     # a backend that raises NoPrediction builds the same tree
     session = start_session(EngineConfig(), CTX, FixedBackend({}), PhraseTable())
     assert session.tree.dump() == build_tree((), ()).dump() == tree.dump()
@@ -108,7 +108,7 @@ def test_advance_divergence_collapses_to_other():
     out = advance(tree, "買い物")
     assert out.diverged
     assert named_leaves(tree) == []
-    assert tree.total_mass() == 1.0
+    assert total_mass(tree) == 1.0
 
 
 def test_advance_certain_single_child_keeps_mass():
@@ -122,7 +122,7 @@ def test_advance_certain_single_child_keeps_mass():
 def test_advance_renormalises_after_removing_a_tiny_mass():
     tree = build_tree((), ps_of(("a", 1 - 1e-6, "ta"), ("b", 1e-6, "tb")))
     assert advance(tree, "a").changed
-    assert tree.total_mass() == pytest.approx(1.0, abs=1e-12)
+    assert total_mass(tree) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_advance_moves_only_when_an_internal_node_loses_mass():
@@ -178,7 +178,7 @@ def test_expand_scales_children_to_node_mass():
     assert [c.path_p for c in kids] == pytest.approx(
         [0.5 * node.path_p, 0.5 * node.path_p])
     assert node.translation is None
-    assert tree.total_mass() == pytest.approx(1.0, abs=1e-9)
+    assert total_mass(tree) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_expand_depth_cap_is_noop():
@@ -208,7 +208,7 @@ def test_expand_two_rounds_gives_product_masses():
     lows = sorted(n.path_p for n in tree.leaves() if not n.is_other and n.depth == 3)
     # renormalized after 'b' matched: 0.5-branch becomes 1.0, then 0.6/0.4 split
     assert lows == pytest.approx([0.4, 0.6], abs=1e-9)
-    assert tree.total_mass() == pytest.approx(1.0, abs=1e-9)
+    assert total_mass(tree) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_expand_no_prediction_becomes_other_only():
@@ -221,7 +221,7 @@ def test_expand_no_prediction_becomes_other_only():
         expand(tree, node, backend, CTX, ("a",), 4)
         assert node.children and all(c.is_other for c in node.children)
         assert node.children[0].path_p == node.path_p
-        assert tree.total_mass() == pytest.approx(1.0, abs=1e-12)
+        assert total_mass(tree) == pytest.approx(1.0, abs=1e-12)
         dumps.append(tree.dump())
     assert dumps[0] == dumps[1]
 
@@ -233,7 +233,7 @@ def test_prune_folds_below_epsilon():
     other = [n for n in tree.leaves() if n.is_other]
     assert [n.path_p for n in named] == [0.4, 0.3]
     assert other[0].path_p == pytest.approx(0.3, abs=1e-9)
-    assert tree.total_mass() == pytest.approx(1.0, abs=1e-12)
+    assert total_mass(tree) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_prune_identity_when_nothing_to_do():
@@ -247,7 +247,7 @@ def test_prune_all_below_epsilon_gives_other_only():
     tree = build_tree((), shopping_ps())
     assert prune(tree, 0.5)
     assert named_leaves(tree) == []
-    assert tree.total_mass() == pytest.approx(1.0, abs=1e-12)
+    assert total_mass(tree) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_prune_folds_below_the_root_into_the_parents_own_other():
@@ -373,7 +373,7 @@ def _some_token(tree, rng):
 
 
 def check_invariants(tree):
-    assert abs(tree.total_mass() - 1.0) <= 1e-9
+    assert abs(total_mass(tree) - 1.0) <= 1e-9
     for node in tree.walk():
         assert 0 <= node.edge_pos <= len(node.edge)
         if node.children:  # exactly one other child, and it is last
