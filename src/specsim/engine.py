@@ -47,7 +47,7 @@ from typing import Sequence
 from .metrics import SessionReport, compute_report
 from .phrases import (PhraseTable, PrefixView, StreamTranslation, idiom_spans,
                       translate)
-from .predictor import Backend, NoPrediction, check_predictions
+from .predictor import Backend, NoPrediction, Prediction, check_predictions
 from .stream import ContextDoc, EngineConfig, TokenEvent
 from .template import (_TAU_SLACK, RevisionConflict, TargetTemplate,
                        all_hole_template, consensus, emittable, extend_into_hole,
@@ -117,18 +117,19 @@ class Session:
     def _view(self) -> PrefixView:
         return PrefixView(self.stream, self.table)
 
-    def _predict_tree(self) -> PredictionTree:
-        prefix = self._view()  # backend query and tree anchor
+    def _ranked(self, prefix: Sequence[str]) -> tuple[Prediction, ...]:
+        """The backend's tuple for prefix, checked where it becomes tree mass;
+        NoPrediction is the empty tuple. The session's one call of predict."""
         backend, k = self.backend, self.config.k
         try:
-            ranked = check_predictions(backend, backend.predict(self.context, prefix, k), k)
+            return check_predictions(backend, backend.predict(self.context, prefix, k), k)
         except NoPrediction:
-            ranked = ()
-        return build_tree(prefix, ranked)
+            return ()
 
     def _new_tree(self):
         """Re-anchor at the full observed prefix: commit and prune are due."""
-        self.tree = self._predict_tree()
+        prefix = self._view()  # backend query and tree anchor
+        self.tree = build_tree(prefix, self._ranked(prefix))
         self._dirty = self._prune_due = True
 
     def _context_perplexity(self) -> float | None:
@@ -204,8 +205,7 @@ class Session:
             if leaves:
                 prefix = self._view()  # what every expandable leaf has consumed
                 for leaf in leaves:
-                    if expand(self.tree, leaf, self.backend, self.context, prefix,
-                              self.config.k):
+                    if expand(self.tree, leaf, self._ranked(prefix)):
                         self._dirty = self._prune_due = True
             if self._prune_due:
                 if prune(self.tree, self.config.epsilon):

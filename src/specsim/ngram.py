@@ -124,13 +124,20 @@ class NgramModel:
         return row
 
     def perplexity(self, window: Sequence[str]) -> float:
-        """exp of the mean negative log conditional over the window."""
+        """exp of the mean negative log conditional over the window; inf when
+        a conditional underflows to 0 or the exp overflows (a tiny alpha). So
+        an infinite window fires the drift check against a finite context
+        body, and an infinite body never fires it (the ratio is 0 or NaN)."""
         if not window:
             raise ValueError("window must be non-empty")
         total = 0.0
         for i, tok in enumerate(window):
-            total += math.log(self.conditional(window[:i], tok))
-        return math.exp(-total / len(window))
+            p = self.conditional(window[:i], tok)
+            total += math.log(p) if p else -math.inf
+        try:
+            return math.exp(-total / len(window))
+        except OverflowError:
+            return math.inf
 
     def continuations(self, prefix: Sequence[str], k: int,
                       max_len: int) -> list[tuple[tuple[str, ...], float]]:

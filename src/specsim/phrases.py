@@ -55,9 +55,6 @@ class PhraseTable:
         for t in self.atomic_targets():
             self._idioms.setdefault(t[0], []).append(t)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def entries(self) -> dict[tuple[str, ...], tuple[str, ...]]:
         return dict(self._entries)
 

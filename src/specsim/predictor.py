@@ -2,9 +2,9 @@
 
 A backend maps (context, observed source prefix, k) to a tuple of at most k
 full-continuation hypotheses with probabilities and target translations,
-ranked p descending, or raises NoPrediction. The session checks that tuple
-with check_predictions wherever it becomes tree mass, so a backend's bug
-surfaces as a ValueError naming it. The residual mass, 1 - sum of p
+ranked p descending, or raises NoPrediction. The session checks every tuple
+with check_predictions before build_tree or expand sees it, so a backend's
+bug surfaces as a ValueError naming it. The residual mass, 1 - sum of p
 (residual_mass), models the continuations the backend did not enumerate.
 Predict calls are deterministic. The scripted and remote backends are
 immutable after construction. NgramBackend keeps no per-stream state, only a
@@ -144,7 +144,7 @@ class ScriptedBackend:
         ranked = self.entries.get((context.id, tuple(prefix)))
         if ranked is None:
             raise NoPrediction(f"no entry for context {context.id!r}, "
-                               f"prefix of {len(tuple(prefix))} tokens")
+                               f"prefix of {len(prefix)} tokens")
         return ranked[:k]
 
 
@@ -245,7 +245,7 @@ class NgramBackend:
 
     def predict(self, context: ContextDoc, prefix: Sequence[str],
                 k: int) -> tuple[Prediction, ...]:
-        key = (self.model.history(prefix), k, self.max_len)
+        key = (self.model.history(prefix), k)
         cache = self._enum_cache
         entry = cache.get(key)
         if entry is None:

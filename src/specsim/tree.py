@@ -3,18 +3,19 @@
 The root anchors at the source prefix the tree was built on, with mass 1;
 `anchor` is that prefix as given (for the session, an O(1) view of its
 observed tokens at build time), never copied. The tree does not track the
-tokens observed since, so `expand` takes a hypothesis's source prefix from
-its caller. Each named child carries a multi-token continuation edge, a
-full-sentence target translation while it is a leaf, and its path
-probability. Observation consumes edge tokens one at a time; survivors
-are renormalized Bayes-style on their prior masses.
+tokens observed since, and it never calls a backend: `build_tree` and
+`expand` take the ranked tuple their caller got for the source prefix.
+Each named child carries a multi-token continuation edge, a full-sentence
+target translation while it is a leaf, and its path probability.
+Observation consumes edge tokens one at a time; survivors are renormalized
+Bayes-style on their prior masses.
 
 A node's children are one named child per prediction of a backend's ranked
 tuple and an other child with its residual_mass, 1 - sum of p. The session
-and `expand` run every tuple through check_predictions first, so a node has
-at most k named children and its children's masses sum to its own.
-NoPrediction counts as the empty tuple: the other child takes all of the
-node's mass.
+runs every tuple through check_predictions before `build_tree` or `expand`
+sees it, so a node has at most k named children and its children's masses
+sum to its own. The session hands NoPrediction on as the empty tuple: the
+other child takes all of the node's mass.
 
 `advance` visits the tree once per token. That visit also finds whether a
 named leaf survived and, on a tree with no internal node, the survivors'
@@ -39,9 +40,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .ngram import END
-from .predictor import (Backend, NoPrediction, Prediction, check_predictions,
-                        residual_mass)
-from .stream import ContextDoc
+from .predictor import Prediction, residual_mass
 
 _RENORM_SKIP = 1e-12  # full survival: S is mathematically 1, skip the noisy division
 
@@ -208,25 +207,20 @@ def advance(tree: PredictionTree, token: str) -> MatchOutcome:
     return MatchOutcome(False, removed or scaled, moved, leaves)
 
 
-def expand(tree: PredictionTree, node: TreeNode, backend: Backend,
-           context: ContextDoc, prefix: Sequence[str], k: int) -> bool:
-    """Grow children under a fully consumed named leaf via the backend.
+def expand(tree: PredictionTree, node: TreeNode, ranked: Sequence[Prediction]) -> bool:
+    """Grow children under a fully consumed named leaf from a ranked tuple.
 
-    prefix is the source the node's hypothesis has consumed, which the
-    caller knows: a leaf that survived every advance since the tree was
-    built has consumed exactly the tokens observed since the anchor, so for
-    the session it is its whole observed prefix. The caller applies the
-    depth cap. The backend's tuple goes through check_predictions, so a
-    malformed one raises ValueError naming the backend. NoPrediction
-    degrades to an other-only expansion carrying the full node mass. Returns
+    ranked is the checked tuple for the source the node's hypothesis has
+    consumed, which the caller knows: a leaf that survived every advance
+    since the tree was built has consumed exactly the tokens observed since
+    the anchor, so for the session it is its whole observed prefix. The
+    caller applies the depth cap. The empty tuple is an other-only
+    expansion carrying the full node mass. An other node, or one that has
+    children, is terminal or is not fully consumed, is left alone. Returns
     whether the tree changed.
     """
     if node.is_other or node.children or not node.consumed or node.terminal:
         return False
-    try:
-        ranked = check_predictions(backend, backend.predict(context, prefix, k), k)
-    except NoPrediction:
-        ranked = ()
     _attach_predictions(node, ranked, node.path_p, node.depth + 1)
     node.translation = None
     return True

@@ -109,8 +109,8 @@ class ReferenceSession(Session):
             self._new_tree()
         else:
             for leaf in expandable_leaves(list(self.tree.leaves()), cfg.d):
-                self.expansions += expand(self.tree, leaf, self.backend, self.context,
-                                          tuple(self.observed), cfg.k)
+                self.expansions += expand(self.tree, leaf,
+                                          self._ranked(tuple(self.observed)))
             prune(self.tree, cfg.epsilon)
         hyps = leaf_hypotheses(self.tree)
         if hyps != self._committed:

@@ -1,5 +1,5 @@
 """The check a backend's tuple passes where it becomes tree mass: at build
-(start_session, re-predict, catch-up) and under expand."""
+(start_session, re-predict, catch-up) and at an expansion."""
 
 from __future__ import annotations
 

@@ -156,6 +156,26 @@ def test_run_ngram_toy_case_commits_no_truncated_hypothesis_as_settled(tmp_path)
     assert emitted == ["a", "b", "c"]
 
 
+def test_run_ngram_with_an_infinite_context_perplexity_exits_0(tmp_path):
+    # alpha 1e-320 makes the perplexity of the unseen context overflow; it
+    # used to end in an OverflowError traceback from start_session
+    model = tmp_path / "model.json"
+    assert run_cli("train", "--corpus", str(FIXTURES / "toy" / "corpus.txt"),
+                   "--order", "3", "--alpha", "1e-320", "--model", str(model)) == 0
+    (tmp_path / "phrases.tsv").write_text("")
+    (tmp_path / "context.txt").write_text("x y q z\n")
+    (tmp_path / "t.jsonl").write_text(
+        '{"src":"x","tgt":"y","ref":["a","b","c"]}\n'
+        '{"i":0,"tok":"a","t_ms":0}\n'
+        '{"i":1,"tok":"b","t_ms":100}\n'
+        '{"i":2,"tok":"c","t_ms":200,"final":true}\n')
+    assert run_cli("run", "--transcript", str(tmp_path / "t.jsonl"), "--backend", "ngram",
+                   "--model", str(model), "--phrase-table", str(tmp_path / "phrases.tsv"),
+                   "--context", str(tmp_path / "context.txt"),
+                   "--out-report", str(tmp_path / "r.json")) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["accuracy"] == 1.0
+
+
 def test_run_remote_backend_against_local_server(tmp_path):
     import json as _json
     import threading

@@ -792,6 +792,36 @@ def test_the_named_mass_of_an_expanded_tree_decides_the_commit(monkeypatch, tau,
     assert fast.events == slow.events and fast.template == slow.template
 
 
+# "a" is cut at the horizon and nothing answers the prefix ("a",), so
+# observing "a" asks the backend to expand it and gets NoPrediction
+UNANSWERED = ScriptedBackend({(CTX.id, ()): [Prediction(("a",), 0.6, ("A",))]})
+
+
+def test_no_prediction_at_an_expansion_gives_the_leaf_an_other_child_only():
+    cfg = EngineConfig()
+    session = start_session(cfg, CTX, UNANSWERED, PhraseTable({}))
+    reference = ReferenceSession(cfg, CTX, UNANSWERED, PhraseTable({}))
+    transcript = transcript_from_tokens(["a", "b", "c"], reference=["a", "b", "c"])
+    ticks = zip(replay_ticks(session, transcript, [1]),
+                replay_ticks(reference, transcript, [1]), strict=True)
+    for tick, ((got, got_report), (want, want_report)) in enumerate(ticks):
+        if tick == 0:
+            leaf = session.tree.root.children[0]
+            assert leaf.edge == ("a",) and leaf.path_p == pytest.approx(0.6)
+            [other] = leaf.children
+            assert other.is_other and not other.children
+            assert other.path_p == leaf.path_p
+        assert events_to_jsonl(got) == events_to_jsonl(want)
+        assert got_report == want_report
+        assert session.emitted == reference.emitted
+        assert session.template == reference.template
+        if session.tree is None:
+            assert reference.tree is None
+        else:
+            assert tree_state(session.tree) == tree_state(reference.tree)
+    assert reference.expansions == 1
+
+
 # -- the reference engine -------------------------------------------------------
 
 # What the property must reach on each scenario kind, so that a generator

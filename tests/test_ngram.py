@@ -149,6 +149,21 @@ def test_perplexity_hand_value_and_ordering():
     assert m.perplexity(["a", "b", "c"]) < m.perplexity(["q", "q", "q"])
 
 
+# a tiny alpha is a model the boundary accepts; on unseen tokens it makes a
+# conditional underflow to 0 (5e-324) or the mean negative log exceed the
+# largest exp argument, about 709 (1e-320)
+@pytest.mark.parametrize("alpha, underflows", [(5e-324, True), (1e-320, False)])
+def test_perplexity_is_infinite_where_the_float_arithmetic_gives_out(alpha, underflows):
+    m = train_ngram([["a", "b", "c"]] * 50, 3, alpha=alpha)
+    window = ("x", "y", "q")
+    conditionals = [m.conditional(window[:i], tok) for i, tok in enumerate(window)]
+    assert (0.0 in conditionals) == underflows
+    if not underflows:
+        assert -math.fsum(map(math.log, conditionals)) / len(window) > 709.8
+    assert m.perplexity(window) == math.inf
+    assert m.perplexity(("a", "b", "c")) < math.inf
+
+
 def test_model_json_roundtrip_is_stable():
     m = train_ngram([["a", "b", "c"], ["a", "b", "d"]], 2)
     text = m.to_json()

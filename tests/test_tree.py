@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from specsim.engine import start_session
 from specsim.ngram import END
 from specsim.phrases import PhraseTable
-from specsim.predictor import NoPrediction, Prediction, prediction_set, residual_mass
+from specsim.predictor import Prediction, ScriptedBackend, prediction_set, residual_mass
 from specsim.replay import replay
 from specsim.stream import ContextDoc, EngineConfig
 from specsim.tree import (advance, build_tree, expand, expandable_leaves,
@@ -35,19 +35,6 @@ def shopping_ps():
         ("食事 を した", 0.3, "Yesterday , I had a meal with my friend"),
         ("公園 に 行った", 0.2, "Yesterday , I went to the park with my friend"),
     )
-
-
-class FixedBackend:
-    """Maps exact prefixes to prediction sets; NoPrediction otherwise."""
-
-    def __init__(self, entries):
-        self.entries = {tuple(k): v for k, v in entries.items()}
-
-    def predict(self, context, prefix, k):
-        ps = self.entries.get(tuple(prefix))
-        if ps is None:
-            raise NoPrediction("missing")
-        return ps
 
 
 def named_leaves(tree):
@@ -78,7 +65,7 @@ def test_build_tree_no_prediction_is_other_only():
     assert named_leaves(tree) == []
     assert total_mass(tree) == 1.0
     # a backend that raises NoPrediction builds the same tree
-    session = start_session(EngineConfig(), CTX, FixedBackend({}), PhraseTable())
+    session = start_session(EngineConfig(), CTX, ScriptedBackend({}), PhraseTable())
     assert session.tree.dump() == build_tree((), ()).dump() == tree.dump()
 
 
@@ -126,11 +113,10 @@ def test_advance_renormalises_after_removing_a_tiny_mass():
 
 
 def test_advance_moves_only_when_an_internal_node_loses_mass():
-    backend = FixedBackend({("a",): ps_of(("b c d", 0.6, "tb"))})
     tree = build_tree((), prediction_set([Prediction(("a",), 1.0, ("ta",))]))
     advance(tree, "a")
     node = tree.root.children[0]
-    expand(tree, node, backend, CTX, ("a",), 4)
+    expand(tree, node, ps_of(("b c d", 0.6, "tb")))
     node.path_p = 0.3  # below its children's 0.6 + 0.4: a gain folds nothing
     out = advance(tree, "b")  # every leaf survives, their masses still sum to 1
     assert not out.changed and not out.moved
@@ -143,12 +129,11 @@ def test_advance_moves_only_when_an_internal_node_loses_mass():
 
 
 def test_an_advance_below_an_expansion_keeps_walk_order_and_can_leave_a_fold():
-    backend = FixedBackend({("a",): ps_of(("b", 0.95, "tb"))})
     tree = build_tree((), prediction_set([Prediction(("a",), 0.6, ("ta",)),
                                           Prediction(("a", "c", END), 0.3, ("tx",))]))
     advance(tree, "a")
     node, x, root_other = tree.root.children
-    expand(tree, node, backend, CTX, ("a",), 4)
+    expand(tree, node, ps_of(("b", 0.95, "tb")))
     assert not prune(tree, 0.1)
     out = advance(tree, "c")  # kills b: the expanded node keeps only its other
     node_other = node.children[0]
@@ -168,12 +153,11 @@ def test_advance_fully_consumed_leaf_dies():
 
 
 def test_expand_scales_children_to_node_mass():
-    backend = FixedBackend({("a",): ps_of(("p", 0.5, "tp"), ("q", 0.5, "tq"))})
     tree = build_tree((), prediction_set(
         [Prediction(("a",), 0.4, ("ta",)), Prediction(("z", END), 0.6, ("tz",))]))
     advance(tree, "a")  # consume the non-terminal edge; z dies
     node = next(n for n in tree.leaves() if not n.is_other and n.consumed)
-    assert expand(tree, node, backend, CTX, ("a",), 4)
+    assert expand(tree, node, ps_of(("p", 0.5, "tp"), ("q", 0.5, "tq")))
     kids = [c for c in node.children if not c.is_other]
     assert [c.path_p for c in kids] == pytest.approx(
         [0.5 * node.path_p, 0.5 * node.path_p])
@@ -192,19 +176,15 @@ def test_expand_depth_cap_is_noop():
 
 
 def test_expand_two_rounds_gives_product_masses():
-    backend = FixedBackend({
-        # first round open-ended (expandable), second round terminal
-        ("a",): prediction_set([Prediction(("b",), 0.5, ("t1",)),
-                                Prediction(("c",), 0.5, ("t2",))]),
-        ("a", "b"): ps_of(("d", 0.6, "t3"), ("e", 0.4, "t4")),
-    })
     tree = build_tree((), prediction_set([Prediction(("a",), 1.0, ("t0",))]))
     advance(tree, "a")
     leaf = next(n for n in tree.leaves() if not n.is_other)
-    expand(tree, leaf, backend, CTX, ("a",), 4)
+    # first round open-ended (expandable), second round terminal
+    expand(tree, leaf, prediction_set([Prediction(("b",), 0.5, ("t1",)),
+                                       Prediction(("c",), 0.5, ("t2",))]))
     advance(tree, "b")
     leaf2 = next(n for n in tree.leaves() if not n.is_other and n.consumed)
-    expand(tree, leaf2, backend, CTX, ("a", "b"), 4)
+    expand(tree, leaf2, ps_of(("d", 0.6, "t3"), ("e", 0.4, "t4")))
     lows = sorted(n.path_p for n in tree.leaves() if not n.is_other and n.depth == 3)
     # renormalized after 'b' matched: 0.5-branch becomes 1.0, then 0.6/0.4 split
     assert lows == pytest.approx([0.4, 0.6], abs=1e-9)
@@ -212,18 +192,30 @@ def test_expand_two_rounds_gives_product_masses():
 
 
 def test_expand_no_prediction_becomes_other_only():
-    dumps = []
-    # NoPrediction, then an empty tuple of predictions
-    for backend in (FixedBackend({}), FixedBackend({("a",): ()})):
-        tree = build_tree((), prediction_set([Prediction(("a",), 1.0, ("t",))]))
-        advance(tree, "a")
-        node = next(n for n in tree.leaves() if not n.is_other)
-        expand(tree, node, backend, CTX, ("a",), 4)
-        assert node.children and all(c.is_other for c in node.children)
-        assert node.children[0].path_p == node.path_p
-        assert total_mass(tree) == pytest.approx(1.0, abs=1e-12)
-        dumps.append(tree.dump())
-    assert dumps[0] == dumps[1]
+    # the session hands NoPrediction to expand as the empty tuple (tested in
+    # test_no_prediction_at_an_expansion_gives_the_leaf_an_other_child_only)
+    tree = build_tree((), prediction_set([Prediction(("a",), 1.0, ("t",))]))
+    advance(tree, "a")
+    node = next(n for n in tree.leaves() if not n.is_other)
+    assert expand(tree, node, ())
+    assert node.children and all(c.is_other for c in node.children)
+    assert node.children[0].path_p == node.path_p
+    assert total_mass(tree) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_expand_leaves_a_node_it_may_not_grow_alone():
+    ranked = ps_of(("p", 0.5, "tp"))
+    tree = build_tree((), prediction_set([Prediction(("a",), 0.4, ("ta",)),
+                                          Prediction(("a", "b"), 0.3, ("tab",)),
+                                          Prediction(("a", END), 0.2, ("tz",))]))
+    advance(tree, "a")
+    grown, unconsumed, terminal, other = tree.root.children
+    assert expand(tree, grown, ranked)
+    before = tree.dump()
+    # an other node, a node with children, one not fully consumed, a terminal one
+    for node in (other, grown, unconsumed, terminal):
+        assert not expand(tree, node, ranked)
+        assert tree.dump() == before
 
 
 def test_prune_folds_below_epsilon():
@@ -251,12 +243,10 @@ def test_prune_all_below_epsilon_gives_other_only():
 
 
 def test_prune_folds_below_the_root_into_the_parents_own_other():
-    backend = FixedBackend({("a",): ps_of(("p", 0.6, "tp"), ("q", 0.3, "tq"),
-                                          ("r", 0.05, "tr"))})
     tree = build_tree((), prediction_set([Prediction(("a",), 1.0, ("ta",))]))
     advance(tree, "a")
     node = tree.root.children[0]
-    expand(tree, node, backend, CTX, ("a",), 4)
+    expand(tree, node, ps_of(("p", 0.6, "tp"), ("q", 0.3, "tq"), ("r", 0.05, "tr")))
     assert prune(tree, 0.35)  # q and r fall below epsilon, p stays
     *named, other = node.children
     assert [n.edge[0] for n in named] == ["p"]
@@ -356,10 +346,7 @@ def mutate_tree(tree, rng):
         leaves = expandable_leaves(tree.leaves(), max_depth=3)
         if leaves:
             node = rng.choice(leaves)
-            ps = random_ps(rng) if rng.random() < 0.8 else None
-            prefix = node.edge  # the backend answers whatever prefix expand passes
-            backend = FixedBackend({} if ps is None else {prefix: ps})
-            expand(tree, node, backend, CTX, prefix, 5)
+            expand(tree, node, random_ps(rng) if rng.random() < 0.8 else ())
     else:
         prune(tree, rng.choice([0.0, 0.02, 0.1]))
 
@@ -413,7 +400,7 @@ def prediction_sets(draw):
 # of the three branches are ints; a str is observed as is
 TOKEN_PICKS = st.integers(0, 9) | st.integers(10, 99) | st.sampled_from(VOCAB + ["zz"])
 # an expansion draws its prediction set only when there is a leaf to expand;
-# True makes the backend raise NoPrediction instead
+# True expands by the empty tuple instead
 OPERATIONS = st.one_of(
     st.tuples(st.just("advance"), TOKEN_PICKS),
     st.tuples(st.just("follow"), st.integers(0, 9)),
@@ -452,8 +439,7 @@ def apply_operation(tree, op, data):
         leaves = expandable_leaves(tree.leaves(), max_depth=3)
         if leaves:
             node = leaves[op[1] % len(leaves)]
-            entries = {} if op[2] else {node.edge: data.draw(prediction_sets())}
-            expand(tree, node, FixedBackend(entries), CTX, node.edge, 5)
+            expand(tree, node, () if op[2] else data.draw(prediction_sets()))
     else:
         prune(tree, op[1])
 
@@ -507,14 +493,14 @@ def test_an_advance_that_moved_nothing_leaves_a_pruned_tree_pruned(ps, ops, pick
 
 def test_tree_operations_and_a_replay_leave_no_cyclic_garbage(
         shopping_backend, shopping_table, shopping_transcript):
-    backend = FixedBackend({("a",): ps_of(("p", 0.5, "tp"), ("q", 0.3, "tq"))})
+    ranked = ps_of(("p", 0.5, "tp"), ("q", 0.3, "tq"))
     gc.collect()
     gc.disable()
     try:
         tree = build_tree((), prediction_set(
             [Prediction(("a",), 0.5, ("ta",)), Prediction(("b",), 0.3, ("tb",))]))
         for node in expandable_leaves(advance(tree, "a").frontier, 3):
-            expand(tree, node, backend, CTX, ("a",), 4)
+            expand(tree, node, ranked)
         advance(tree, "p")
         prune(tree, 0.2)
         leaf_hypotheses(tree)
