@@ -128,7 +128,7 @@ def cmd_validate(args) -> int:
 
 
 def _print_state(session: Session, emitted_now):
-    hyps = leaf_hypotheses(session.tree)[:3]
+    hyps = sorted(leaf_hypotheses(session.tree), key=lambda h: -h[1])[:3]
     for tr, mass, _ in hyps:
         print(f"  hyp {mass:.3f}: {' '.join(tr)}")
     print(f"  template: {session.template.render()}")

@@ -15,10 +15,11 @@ prune of a tree whose named nodes only gained mass and lost siblings since
 the last prune changes nothing, so the skipped ones would not change the log
 either. A commit whose named leaves hold less than tau of the mass changes
 nothing: consensus below tau is the all-hole template, and refine keeps the
-committed template for it. So such a commit is skipped before its leaves are
-sorted. A commit whose refine leaves the template as it was skips the
-emission scan: every template change is emitted right after it, so there is
-nothing left to emit. Commits run only on ticks on which the hypotheses
+committed template for it. So a commit walks the tree once, for its named
+leaves, and skips one below tau on their sum, before consensus ranks them. A
+commit whose refine leaves the template as it was skips the emission scan:
+every template change is emitted right after it, so there is nothing left to
+emit. Commits run only on ticks on which the hypotheses
 changed (a new tree counts as a change), so a conflict is logged once per
 tick on which the hypotheses changed; a standing conflict is not logged
 again on the ticks between.
@@ -35,13 +36,15 @@ observed prefix: an append-only list that is also the source of the
 session's StreamTranslation. Backends and trees get O(1) PrefixView
 snapshots of it, never copies. The stream is scanned lazily: a hit tick only
 appends, NgramBackend scans the stream inside its predict, and finalize reads
-it with `finish`. Distinct sessions may share a backend: it keeps no
+it with `preview`. Distinct sessions may share a backend: it keeps no
 per-session state, and its memo changes its speed, never its predictions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .metrics import SessionReport, compute_report
@@ -53,7 +56,9 @@ from .template import (_TAU_SLACK, RevisionConflict, TargetTemplate,
                        all_hole_template, consensus, emittable, extend_into_hole,
                        fixed_template, refine, resolve_with)
 from .tree import (PredictionTree, advance, build_tree, expand,
-                   expandable_leaves, leaf_hypotheses, named_mass, prune)
+                   expandable_leaves, leaf_hypotheses, prune)
+
+_MASS = itemgetter(1)  # of a (translation, mass, terminal) hypothesis
 
 
 class OutOfOrderToken(ValueError):
@@ -172,16 +177,18 @@ class Session:
         change is emitted right after it, so an unchanged one (refine kept
         it, or a conflict) has nothing left to emit.
 
-        A named mass below tau - 2 * _TAU_SLACK returns early, before the
-        leaves are sorted: consensus's running sum of the same masses is
-        within n ulps of their correctly rounded sum, so it cannot reach
-        tau - _TAU_SLACK, the consensus would be the all-hole template, and
-        refine keeps the committed template for that."""
+        The named leaves come from one walk. If their mass is below
+        tau - 2 * _TAU_SLACK, the commit returns before consensus ranks
+        them: consensus's running sum of the same masses is within n ulps of
+        their correctly rounded sum, so it cannot reach tau - _TAU_SLACK,
+        the consensus would be the all-hole template, and refine keeps the
+        committed template for that."""
         self._dirty = False
-        if named_mass(self.tree) < self.config.tau - 2 * _TAU_SLACK:
+        hyps = leaf_hypotheses(self.tree)
+        if math.fsum(map(_MASS, hyps)) < self.config.tau - 2 * _TAU_SLACK:
             return
         before = self.template
-        self._refine(consensus(leaf_hypotheses(self.tree), self.config.tau), t_ms)
+        self._refine(consensus(hyps, self.config.tau), t_ms)
         if self.template is not before:
             self._emit(t_ms)
 
@@ -326,4 +333,4 @@ def _final_translation(session: Session) -> tuple[str, ...]:
         key = (-node.path_p, node.translation)
         if best is None or key < best:
             best = key
-    return best[1] if best is not None else session.stream.finish(session.table)
+    return best[1] if best is not None else session.stream.preview(session.table, ())

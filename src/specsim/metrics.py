@@ -23,7 +23,10 @@ def average_lagging(g: Sequence[int], src_len: int) -> float:
     g[j] is the number of source tokens heard when target token j+1 was
     emitted. With gamma = T/S and tau the first emission index that had heard
     the full source (T if none), AL = (1/tau) * sum_{j=1..tau} (g(j) - (j-1)/gamma).
+    ValueError if src_len is below 1, EmptyEmission if g is empty.
     """
+    if src_len < 1:
+        raise ValueError(f"src_len must be at least 1, got {src_len}")
     t = len(g)
     if t == 0:
         raise EmptyEmission("no target tokens were emitted")

@@ -4,10 +4,11 @@ Desk-scale continuation predictor: additive-alpha smoothing over the full
 vocabulary at the highest available order, dropping an order (scored with a
 0.4 stupid-backoff factor) only when the queried history itself was never
 seen. Counts and parameters are fixed after training; queries are
-deterministic and change no result, but `continuations` fills a memo of
-successor rows (`_rows`) as it is queried. The memo is keyed on the counted
-history that backoff reaches and its factor, so it is bounded by the model
-(at most `len(counts) * order` rows), not by the histories asked about.
+deterministic and change no result, but `conditional` and `continuations`
+fill a memo of successor rows (`_rows`) as they are queried. The memo is
+keyed on the counted history that backoff reaches and its factor, so it is
+bounded by the model (at most `len(counts) * order` rows), not by the
+histories asked about.
 """
 
 from __future__ import annotations
@@ -98,16 +99,14 @@ class NgramModel:
 
     def conditional(self, history: Sequence[str], token: str) -> float:
         """Smoothed P(token | history); backoff applies only to unseen histories."""
-        hist, factor = self._backoff(self._effective_history(history))
-        total = self.totals.get(hist, 0)
-        c = self.counts.get(hist, {}).get(token, 0)
-        v = len(self.vocab)
-        return factor * (c + self.alpha) / (total + self.alpha * v)
+        above, low = self._row(self._effective_history(history))
+        return above.get(token, low)
 
     def _row(self, hist: tuple[str, ...]) -> tuple[dict[str, float], float]:
         """Successors of hist: {token: p} for the tokens counted after the
         history that backoff reaches whose p exceeds the uncounted p, and that
-        uncounted p. Each p is the value conditional(hist, token) returns."""
+        uncounted p, which every other token gets (a zero count, or a count
+        lost in c + alpha, computes the same float)."""
         key = self._backoff(hist)
         row = self._rows.get(key)
         if row is None:

@@ -187,9 +187,6 @@ class StreamTranslation:
         out, pending = self.split()
         return out + translate(table, pending + tuple(continuation))
 
-    def finish(self, table: PhraseTable) -> tuple[str, ...]:
-        return self.preview(table, ())
-
 
 def settled_translation(table: PhraseTable, source: Sequence[str]) -> tuple[str, ...]:
     """The part of translate(table, source) that no token appended to source

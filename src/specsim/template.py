@@ -78,12 +78,14 @@ def consensus(hyps: Sequence[tuple[Sequence[str], float, bool]],
               tau: float) -> TargetTemplate:
     """Commit what the tau-mass cover of hypotheses agrees on.
 
-    Takes (translation, mass, terminal) hypotheses sorted by mass
-    descending; uses the smallest prefix of them whose cumulative mass
-    reaches tau. The template is their longest common prefix, the hole, and
-    their longest common suffix; the suffix is truncated if prefix and
-    suffix would overlap inside any cover member (the prefix wins, being
-    emittable earliest). Identical cover members commit fully with no hole.
+    Takes (translation, mass, terminal) hypotheses in any order and ranks
+    them by mass descending, then translation, then truncated before
+    terminal, so the result does not depend on their order. The cover is
+    the shortest prefix of that ranking whose cumulative mass reaches tau.
+    The template is the cover's longest common prefix, the hole, and its
+    longest common suffix; the suffix is truncated if prefix and suffix
+    would overlap inside any cover member (the prefix wins, being emittable
+    earliest). Identical cover members commit fully with no hole.
     A member that is not terminal was cut at the prediction horizon, so its
     translation's end is not the utterance's: a cover holding one commits
     the common prefix and a hole only. Below-tau total commits nothing.
@@ -91,7 +93,7 @@ def consensus(hyps: Sequence[tuple[Sequence[str], float, bool]],
     cover: list[Sequence[str]] = []
     cum = 0.0
     ends = True  # every cover member runs to the utterance's end
-    for toks, mass, terminal in hyps:
+    for toks, mass, terminal in sorted(hyps, key=lambda h: (-h[1], h[0], h[2])):
         cover.append(toks)
         ends = ends and terminal
         cum += mass

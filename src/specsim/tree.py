@@ -24,6 +24,10 @@ visited, so its caller finds the leaves to expand without another walk, and
 says whether a named node lost mass, so its caller can skip a `prune` that
 would change nothing.
 
+`leaf_hypotheses` is a commit's one walk of the tree: it returns the named
+leaves in walk order, and consensus ranks them, so this module decides no
+order of hypotheses.
+
 Two invariants hold for every tree these functions build or change:
 - every internal node has exactly one "other" child, a leaf that absorbs
   residual and pruned mass, and it is the node's last child;
@@ -262,31 +266,15 @@ def prune(tree: PredictionTree, epsilon: float) -> bool:
     return changed
 
 
-def named_mass(tree: PredictionTree) -> float:
-    """The named leaves' total mass, correctly rounded, in one walk and
-    without the sort that `leaf_hypotheses` does."""
-    masses = []
+def leaf_hypotheses(tree: PredictionTree) -> list[tuple[tuple[str, ...], float, bool]]:
+    """Named-leaf (translation, mass, terminal) triples, in one walk, in walk
+    order: fixed for a given tree, not ranked (consensus ranks them)."""
+    out = []
     stack = [tree.root]
     while stack:
         for node in stack.pop().children:
             if node.children:
                 stack.append(node)
             elif not node.is_other:
-                masses.append(node.path_p)
-    return math.fsum(masses)
-
-
-def leaf_hypotheses(tree: PredictionTree) -> list[tuple[tuple[str, ...], float, bool]]:
-    """Named-leaf (translation, mass, terminal) triples, mass descending, then
-    translation lexicographic, then truncated before terminal, so the order
-    does not depend on the order of siblings."""
-    out = []
-    stack = list(tree.root.children)
-    while stack:
-        node = stack.pop()
-        if node.children:
-            stack.extend(node.children)
-        elif not node.is_other:
-            out.append((node.translation, node.path_p, node.terminal))
-    out.sort(key=lambda h: (-h[1], h[0], h[2]))
+                out.append((node.translation, node.path_p, node.terminal))
     return out

@@ -12,7 +12,7 @@ import json
 import math
 
 from specsim.engine import OutputEvent, Session
-from specsim.ngram import END
+from specsim.ngram import BACKOFF_FACTOR, END
 from specsim.predictor import NgramBackend
 from specsim.stream import (IndexGap, MalformedRecord, MissingFinalMarker,
                             NonMonotonicTime, TokenEvent, Transcript)
@@ -131,6 +131,32 @@ def total_mass(tree) -> float:
     return math.fsum(n.path_p for n in tree.leaves())
 
 
+def conditional_oracle(model, history, token) -> float:
+    """Smoothed P(token | history) straight from the counts: the last
+    order - 1 tokens, backed off while unseen, then additive alpha."""
+    hist = tuple(history)[-(model.order - 1):] if model.order > 1 else ()
+    factor = 1.0
+    while hist and hist not in model.counts:
+        hist = hist[1:]
+        factor *= BACKOFF_FACTOR
+    row = model.counts.get(hist, {})
+    c = row.get(token, 0)
+    return factor * (c + model.alpha) / (sum(row.values()) + model.alpha * len(model.vocab))
+
+
+def perplexity_oracle(model, window) -> float:
+    """exp of the mean negative log conditional_oracle; inf where a
+    conditional is 0 or the exp overflows."""
+    total = 0.0
+    for i, tok in enumerate(window):
+        p = conditional_oracle(model, window[:i], tok)
+        total += math.log(p) if p else -math.inf
+    try:
+        return math.exp(-total / len(window))
+    except OverflowError:
+        return math.inf
+
+
 def enumerate_continuations(model, prefix, k, max_len):
     """Exhaustive enumeration over every legal continuation (END only last)."""
     results = []
@@ -141,7 +167,7 @@ def enumerate_continuations(model, prefix, k, max_len):
         base = ["<s>"] * max(0, model.order - 1 - len(prefix)) + list(prefix)
         seq = base + list(cont)
         for i in range(len(base), len(seq)):
-            p *= model.conditional(seq[:i], seq[i])
+            p *= conditional_oracle(model, seq[:i], seq[i])
         return p
 
     for length in range(1, max_len + 1):

@@ -24,7 +24,7 @@ from specsim.predictor import NgramBackend, NoPrediction, Prediction, ScriptedBa
 from specsim.replay import events_to_jsonl, replay
 from specsim.stream import ContextDoc, EngineConfig, TokenEvent, transcript_from_tokens
 from specsim.template import _TAU_SLACK, all_hole_template
-from specsim.tree import leaf_hypotheses, named_mass, prune
+from specsim.tree import leaf_hypotheses, prune
 
 from conftest import make_ngram_scenario, make_scenario, random_config
 from oracles import ReferenceSession, total_mass, tree_state
@@ -736,25 +736,30 @@ TAU = 0.5
 COMMIT_BOUND = TAU - 2 * _TAU_SLACK
 
 
-def session_with_named_mass(mass):
+def leaf_mass(tree):
+    """The named leaves' mass as the commit sums it."""
+    return math.fsum(m for _, m, _ in leaf_hypotheses(tree))
+
+
+def session_with_leaf_mass(mass):
     backend = ScriptedBackend({(CTX.id, ()): [Prediction(("x", "y", END), mass, ("X", "Y"))]})
     session = session_for(backend, PhraseTable({}), tau=TAU)
-    assert named_mass(session.tree) == mass
+    assert leaf_mass(session.tree) == mass
     return session
 
 
 def test_a_commit_an_ulp_below_the_bound_is_skipped(monkeypatch):
-    session = session_with_named_mass(math.nextafter(COMMIT_BOUND, 0.0))
+    session = session_with_leaf_mass(math.nextafter(COMMIT_BOUND, 0.0))
     calls = record_commit_calls(monkeypatch)
     before = session.template
     session._commit(0)
-    assert calls == []
+    assert calls == ["leaf_hypotheses"]  # the one walk, then the skip
     assert session.template is before and session.events == []
     assert not session._dirty
 
 
 def test_a_commit_at_the_bound_runs_the_full_path(monkeypatch):
-    session = session_with_named_mass(COMMIT_BOUND)
+    session = session_with_leaf_mass(COMMIT_BOUND)
     calls = record_commit_calls(monkeypatch)
     before = session.template
     session._commit(0)
@@ -774,8 +779,8 @@ EXPANDING = ScriptedBackend({
 
 
 @pytest.mark.parametrize("tau, commits, emitted", [(0.55, True, ["A"]), (0.9, False, [])])
-def test_the_named_mass_of_an_expanded_tree_decides_the_commit(monkeypatch, tau,
-                                                               commits, emitted):
+def test_the_leaf_mass_of_an_expanded_tree_decides_the_commit(monkeypatch, tau,
+                                                              commits, emitted):
     cfg = EngineConfig(k=2, tau=tau)
     fast = start_session(cfg, CTX, EXPANDING, PhraseTable({}))
     slow = ReferenceSession(cfg, CTX, EXPANDING, PhraseTable({}))
@@ -783,10 +788,10 @@ def test_the_named_mass_of_an_expanded_tree_decides_the_commit(monkeypatch, tau,
     feed(fast, TokenEvent(0, "a", 0))
     inner = [n for n in fast.tree.walk() if n.children and n is not fast.tree.root]
     assert len(inner) == 1
-    mass = named_mass(fast.tree)
-    assert mass == math.fsum(m for _, m, _ in leaf_hypotheses(fast.tree))
+    assert calls.count("leaf_hypotheses") == 1
+    mass = leaf_mass(fast.tree)
     assert mass == pytest.approx(0.6) and inner[0].path_p == pytest.approx(0.6 / 0.7)
-    assert ("leaf_hypotheses" in calls) == commits
+    assert ("consensus" in calls) == commits
     feed(slow, TokenEvent(0, "a", 0))
     assert fast.emitted == slow.emitted == emitted
     assert fast.events == slow.events and fast.template == slow.template
@@ -856,7 +861,7 @@ def test_the_engine_matches_the_reference_after_every_tick(kind):
         reference = ReferenceSession(cfg, ctx, backend, table)
 
         def counted_commit(t_ms, commit=session._commit):
-            if named_mass(session.tree) < cfg.tau - 2 * _TAU_SLACK:
+            if leaf_mass(session.tree) < cfg.tau - 2 * _TAU_SLACK:
                 reached["below-tau commit"] += 1
             commit(t_ms)
 

@@ -26,6 +26,13 @@ def test_al_empty_emission():
         average_lagging([], 3)
 
 
+@pytest.mark.parametrize("src_len", [0, -1])
+def test_al_rejects_a_source_shorter_than_one_token(src_len):
+    # 0 divided by zero, and -1 returned 1.0
+    with pytest.raises(ValueError, match=f"src_len must be at least 1, got {src_len}"):
+        average_lagging([1, 2], src_len)
+
+
 def test_al_constant_g_equals_source():
     for c in (1, 2, 5):
         assert average_lagging([c] * c, c) == pytest.approx(float(c), abs=1e-12)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from specsim.ngram import (END, START, EmptyCorpus, NgramModel, parse_corpus,
                            train_ngram)
 
-from oracles import enumerate_continuations
+from oracles import conditional_oracle, enumerate_continuations, perplexity_oracle
 
 
 def test_train_hand_counts_order2():
@@ -94,7 +94,7 @@ def test_continuations_single_sentence_top1():
 
 
 @st.composite
-def models(draw):
+def models(draw, alphas=st.sampled_from([0.1, 0.5, 1, 4.0, 1e5, 1e18])):
     """Small models: trained ones, and ones loaded from JSON with count-0 entries.
     A large alpha puts counted conditionals just above the uncounted one, and
     1e18 makes every c + alpha round to alpha."""
@@ -102,7 +102,7 @@ def models(draw):
     sigma = "abcde"[:draw(st.integers(1, 5))]
     corpus = draw(st.lists(st.lists(st.sampled_from(sigma), min_size=1, max_size=5),
                            min_size=1, max_size=6))
-    alpha = draw(st.sampled_from([0.1, 0.5, 1, 4.0, 1e5, 1e18]))
+    alpha = draw(alphas)
     m = train_ngram(corpus, order, alpha=alpha)
     if draw(st.booleans()):
         data = json.loads(m.to_json())
@@ -122,6 +122,28 @@ def test_continuations_match_exhaustive_enumeration(model_sigma, data):
     max_len = data.draw(st.integers(1, 4))
     assert m.continuations(prefix, k, max_len) == enumerate_continuations(
         m, prefix, k, max_len)
+
+
+# int alphas keep c + alpha and the denominator in int arithmetic; 1e300
+# leaves every conditional near 1 / |V| and 5e-324 underflows the uncounted
+# ones to 0
+ALPHAS = st.one_of(st.integers(1, 10**300), st.floats(5e-324, 1e300),
+                   st.sampled_from([1, 10**18, 5e-324, 1e-320, 1e18, 1e300]))
+# "q" is in no model's vocab, and START pads a history as continuations does
+QUERIED = st.sampled_from(["a", "b", "c", "d", "e", "q", END])
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(models(ALPHAS),
+       st.lists(st.tuples(st.lists(QUERIED | st.just(START), max_size=4), QUERIED),
+                min_size=1, max_size=5),
+       st.lists(QUERIED, min_size=1, max_size=6))
+def test_conditional_and_perplexity_match_the_counting_formula(model_sigma, queries,
+                                                               window):
+    m, _ = model_sigma
+    for history, token in queries:
+        assert m.conditional(history, token) == conditional_oracle(m, history, token)
+    assert m.perplexity(window) == perplexity_oracle(m, window)
 
 
 def test_row_memo_is_bounded_by_the_model():

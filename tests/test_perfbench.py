@@ -46,7 +46,7 @@ def test_a_traced_session_reaches_every_span():
     hypothesis predicted, and that no sentence ends with, leaves finalize no
     finished hypothesis, so it translates the stream, and a reference is
     scored. That session's named mass never reaches tau, so its commits are
-    skipped before the leaves are sorted; a second session on a one-sentence
+    skipped before consensus ranks the leaves; a second session on a one-sentence
     corpus holds over 0.9 of the mass in one hypothesis and commits it."""
     spans = load_spans()
     model = train_ngram([["a", "b", "c", "d", "e"], ["a", "b", "d", "c", "e"]], 2)

@@ -151,7 +151,7 @@ def test_stream_translation_matches_one_shot():
             assert state.src is src and src == stream[:i]
             cont = [rng.choice(vocab) for _ in range(rng.randint(0, 5))]
             assert state.preview(t, cont) == translate(t, stream[:i] + cont)
-        assert state.finish(t) == translate(t, stream)
+        assert state.preview(t, ()) == translate(t, stream)
 
 
 def test_stream_translation_output_only_grows():

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specsim.phrases import IdiomSpan
-from specsim.template import (RevisionConflict, TargetTemplate,
+from specsim.template import (_TAU_SLACK, RevisionConflict, TargetTemplate,
                               all_hole_template, consensus, emittable,
                               extend_into_hole, fixed_template, refine,
                               resolve_with)
@@ -77,29 +79,91 @@ def test_a_truncated_cover_member_commits_a_prefix_and_a_hole_only():
         consensus(SHOPPING_HYPS, tau=0.9)
 
 
+def rank(hyps):
+    """Mass descending, then translation, then truncated before terminal."""
+    return sorted(hyps, key=lambda h: (-h[1], h[0], h[2]))
+
+
+def running_total(hyps):
+    """The masses added up in rank order, as consensus adds them."""
+    cum = 0.0
+    for _, mass, _ in rank(hyps):
+        cum += mass
+    return cum
+
+
+def with_running_total(hyps, target):
+    """hyps with the last-ranked mass set to what the others leave of target,
+    then stepped an ulp at a time until the running total is target; None
+    if it would no longer rank last."""
+    *rest, (toks, _, terminal) = rank(hyps)
+    mass = target - running_total(rest)
+    for _ in range(64):
+        moved = rest + [(toks, mass, terminal)]
+        if mass <= 0.0 or rank(moved)[-1] != moved[-1]:
+            return None
+        cum = running_total(moved)
+        if cum == target:
+            return moved
+        mass = math.nextafter(mass, math.inf if cum < target else 0.0)
+    return None
+
+
 def test_consensus_matches_bruteforce_oracle():
+    # consensus ranks its input, so any order of it commits what the
+    # oracle commits for the ranked list. The draws hold mass ties between
+    # different translations, one translation both truncated and terminal at
+    # one mass (some with tau cutting the cover between the two), and running
+    # totals on either side of the commit's skip bound (tau - 2 * _TAU_SLACK)
+    # and of the cover's bound (tau - _TAU_SLACK)
     rng = random.Random(4242)
     vocab = ["a", "b", "c", "d"]
-    for _ in range(500):
+    reached = Counter()
+    for _ in range(1000):
+        tau = rng.choice([0.5, 0.7, 0.9])
         count = rng.randint(1, 6)
         raw = sorted((rng.uniform(0.01, 0.5) for _ in range(count)), reverse=True)
-        total = sum(raw)
-        scale = rng.uniform(0.5, 1.0) / total
-        hyps = []
-        for mass in raw:
-            toks = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 12)))
-            hyps.append((toks, mass * scale, rng.random() < 0.8))
-        hyps.sort(key=lambda h: (-h[1], h[0]))
-        tau = rng.choice([0.5, 0.7, 0.9])
-        assert consensus(hyps, tau) == consensus_oracle(hyps, tau)
+        if count > 1 and rng.random() < 0.3:
+            i = rng.randrange(count - 1)
+            raw[i + 1] = raw[i]
+        bound = rng.choice([None, tau - 2 * _TAU_SLACK, tau - _TAU_SLACK])
+        side = rng.choice(["below", "at", "above"])
+        target = None if bound is None else {"below": math.nextafter(bound, 0.0),
+                                             "at": bound,
+                                             "above": math.nextafter(bound, 1.0)}[side]
+        hyps = [(tuple(rng.choice(vocab) for _ in range(rng.randint(0, 12))), mass,
+                 rng.random() < 0.8) for mass in raw]
+        if rng.random() < 0.3:
+            toks, mass, terminal = rng.choice(hyps)
+            hyps.append((toks, mass, not terminal))
+        scale = (rng.uniform(0.5, 1.0) if target is None else target) / sum(
+            m for _, m, _ in hyps)
+        hyps = [(toks, mass * scale, terminal) for toks, mass, terminal in hyps]
+        if target is not None:
+            hyps = with_running_total(hyps, target) or hyps
+            reached[side] += running_total(hyps) == target
+        masses = [m for _, m, _ in hyps]
+        reached["mass tie"] += len(set(masses)) < len(masses)
+        pairs = Counter((toks, mass) for toks, mass, _ in hyps)
+        if max(pairs.values()) > 1:
+            reached["truncated and terminal"] += 1
+            if target is None and rng.random() < 0.5:  # tau ends the cover inside the pair
+                ranked = rank(hyps)
+                first = next(i for i, (toks, mass, _) in enumerate(ranked)
+                             if pairs[toks, mass] > 1)
+                tau = running_total(ranked[:first + 1])
+                reached["cut inside the pair"] += 1
+        shuffled = rng.sample(hyps, len(hyps))
+        assert consensus(shuffled, tau) == consensus_oracle(rank(hyps), tau)
+    assert all(reached[what] > 20 for what in (
+        "below", "at", "above", "mass tie", "truncated and terminal",
+        "cut inside the pair")), reached
 
 
 def test_consensus_insensitive_to_equal_mass_permutation():
     a = (("x", "p"), 0.45, True)
     b = (("x", "q"), 0.45, True)
-    t1 = consensus(sorted([a, b], key=lambda h: (-h[1], h[0])), 0.9)
-    t2 = consensus(sorted([b, a], key=lambda h: (-h[1], h[0])), 0.9)
-    assert t1 == t2
+    assert consensus([a, b], 0.9) == consensus([b, a], 0.9)
 
 
 def test_refine_fills_hole_from_complete_fresh():

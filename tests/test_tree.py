@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from specsim.phrases import PhraseTable
 from specsim.predictor import Prediction, ScriptedBackend, prediction_set, residual_mass
 from specsim.replay import replay
 from specsim.stream import ContextDoc, EngineConfig
+from specsim.template import TargetTemplate, consensus
 from specsim.tree import (advance, build_tree, expand, expandable_leaves,
                           leaf_hypotheses, prune)
 
@@ -268,24 +271,31 @@ def test_prune_never_removes_named_at_or_above_epsilon():
 
 
 def test_leaf_hypotheses_sorted_and_excludes_other():
+    # the named leaves in walk order, here sibling order; consensus sorts
+    # them, so every order of them commits the same template
     tree = build_tree((), shopping_ps())
     hyps = leaf_hypotheses(tree)
     assert [m for _, m, _ in hyps] == [0.4, 0.3, 0.2]
     assert all(terminal for _, _, terminal in hyps)
     assert hyps[0][0][0] == "Yesterday"
+    for order in itertools.permutations(hyps):
+        assert consensus(order, 0.9).render() == "Yesterday , I [*] with my friend"
     assert leaf_hypotheses(build_tree((), ())) == []
 
 
 def test_leaf_hypotheses_order_does_not_follow_sibling_order():
-    # equal mass and translation: the truncated one first, whatever the
-    # siblings' order, so a tau cut between them keeps the cover open
+    # equal mass and translation: consensus ranks the truncated one first,
+    # whatever the siblings' order, so a tau cut between them keeps the
+    # cover open
     tree = build_tree((), prediction_set([Prediction(("a", END), 0.45, ("t",)),
                                           Prediction(("b",), 0.45, ("t",))]))
-    want = [(("t",), 0.45, False), (("t",), 0.45, True)]
-    assert leaf_hypotheses(tree) == want
+    hyps = leaf_hypotheses(tree)
+    assert Counter(hyps) == Counter([(("t",), 0.45, False), (("t",), 0.45, True)])
+    assert consensus(hyps, 0.45) == TargetTemplate(("t",), ())
     *named, other = tree.root.children
     tree.root.children = named[::-1] + [other]
-    assert leaf_hypotheses(tree) == want
+    assert leaf_hypotheses(tree) == hyps[::-1]
+    assert consensus(hyps[::-1], 0.45) == TargetTemplate(("t",), ())
 
 
 def test_leaf_hypotheses_after_advance():
@@ -368,10 +378,8 @@ def check_invariants(tree):
             assert sum(c.is_other for c in node.children) == 1
             kid_sum = math.fsum(c.path_p for c in node.children)
             assert abs(kid_sum - node.path_p) <= 1e-9
-    named = [n for n in tree.leaves() if not n.is_other]
-    assert leaf_hypotheses(tree) == sorted(
-        ((n.translation, n.path_p, n.terminal) for n in named),
-        key=lambda h: (-h[1], h[0], h[2]))
+    assert Counter(leaf_hypotheses(tree)) == Counter(
+        (n.translation, n.path_p, n.terminal) for n in named_leaves(tree))
 
 
 # Hypothesis counterparts of random_ps and mutate_tree: the same operations,
