@@ -16,7 +16,12 @@ the last prune changes nothing, so the skipped ones would not change the log
 either. A commit whose named leaves hold less than tau of the mass changes
 nothing: consensus below tau is the all-hole template, and refine keeps the
 committed template for it. So a commit walks the tree once, for its named
-leaves, and skips one below tau on their sum, before consensus ranks them. A
+leaves, and skips one below tau on their sum, before they are ranked. Above
+tau it ranks them once, for their tau-cover, and a commit whose cover holds
+the same (translation, terminal) members as the last one that refined
+without a conflict, against the template that refine left, skips consensus
+and refine: consensus reads only the cover, and refine(refine(c, f), f) is
+refine(c, f), so they would change nothing. A
 commit whose refine leaves the template as it was skips the emission scan:
 every template change is emitted right after it, so there is nothing left to
 emit. Commits run only on ticks on which the hypotheses
@@ -52,9 +57,9 @@ from .phrases import (PhraseTable, PrefixView, StreamTranslation, idiom_spans,
                       translate)
 from .predictor import Backend, NoPrediction, Prediction, check_predictions
 from .stream import ContextDoc, EngineConfig, TokenEvent
-from .template import (_TAU_SLACK, RevisionConflict, TargetTemplate,
+from .template import (_TAU_SLACK, Cover, RevisionConflict, TargetTemplate,
                        all_hole_template, consensus, emittable, extend_into_hole,
-                       fixed_template, refine, resolve_with)
+                       fixed_template, refine, resolve_with, tau_cover)
 from .tree import (PredictionTree, advance, build_tree, expand,
                    expandable_leaves, leaf_hypotheses, prune)
 
@@ -108,6 +113,10 @@ class Session:
         # cheap; an empty list takes 56 bytes against over 700 for a deque
         self.buffer: list[TokenEvent] = []
         self.template: TargetTemplate = all_hole_template()
+        # the cover of the last commit whose refine did not conflict, and the
+        # template that refine left; see _commit
+        self._cover: Cover = ()
+        self._covered: TargetTemplate | None = None
         self.emitted: list[str] = []
         self.events: list[OutputEvent] = []
         self.last_t = 0
@@ -178,17 +187,33 @@ class Session:
         it, or a conflict) has nothing left to emit.
 
         The named leaves come from one walk. If their mass is below
-        tau - 2 * _TAU_SLACK, the commit returns before consensus ranks
-        them: consensus's running sum of the same masses is within n ulps of
+        tau - 2 * _TAU_SLACK, the commit returns before tau_cover ranks
+        them: tau_cover's running sum of the same masses is within n ulps of
         their correctly rounded sum, so it cannot reach tau - _TAU_SLACK,
         the consensus would be the all-hole template, and refine keeps the
-        committed template for that."""
+        committed template for that.
+
+        Otherwise they are ranked once, for their tau-cover. If the cover
+        equals the last one a non-conflicting refine merged and the template
+        is still the very one that refine left, the commit returns before
+        consensus: consensus reads only the cover, so it would give the same
+        fresh template f, and refine(refine(c, f), f) is refine(c, f), so
+        nothing would change, be logged or be emitted. A conflicting refine
+        records nothing, and the template it leaves is either not the
+        recorded one or was recorded with another cover, so a standing
+        conflict is logged again on every commit; after a catch-up that
+        replaced the template, the identity test fails."""
         self._dirty = False
         hyps = leaf_hypotheses(self.tree)
-        if math.fsum(map(_MASS, hyps)) < self.config.tau - 2 * _TAU_SLACK:
+        tau = self.config.tau
+        if math.fsum(map(_MASS, hyps)) < tau - 2 * _TAU_SLACK:
+            return
+        cover = tau_cover(hyps, tau)
+        if self.template is self._covered and cover == self._cover:
             return
         before = self.template
-        self._refine(consensus(hyps, self.config.tau), t_ms)
+        if self._refine(consensus(hyps, tau, cover), t_ms):
+            self._cover, self._covered = cover, self.template
         if self.template is not before:
             self._emit(t_ms)
 
@@ -300,7 +325,8 @@ def finalize(session: Session, ev: TokenEvent | None = None,
     with the full observed source; with none (typically after divergence) the
     observed source is translated directly. A conflicting filler is recorded
     and the committed template force-completes instead; emission never
-    retracts. The finalized session keeps its log and output, not its tree.
+    retracts. The finalized session keeps its log and output, not its tree
+    or its commit memo.
     """
     if session.finalized:
         raise ValueError("session already finalized")
@@ -315,6 +341,7 @@ def finalize(session: Session, ev: TokenEvent | None = None,
     t_ms = session.last_t
     final_tr = _final_translation(session)
     session.tree = None  # type: ignore[assignment]
+    session._cover, session._covered = (), None  # no commit follows
     if not session._refine(fixed_template(final_tr), t_ms):
         session.template = resolve_with(session.template, final_tr)
     session._emit(t_ms)

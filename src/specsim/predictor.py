@@ -20,6 +20,7 @@ import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from urllib.parse import urlsplit
 
 from .ngram import END, NgramModel
 from .phrases import PhraseTable, settled_translation, split_prefix, translate
@@ -275,29 +276,59 @@ class NgramBackend:
         return self.model.perplexity(window)
 
 
+# A transport POSTs the payload to the URL, waiting at most the timeout in
+# seconds, and returns the reply's status and body. It raises OSError for
+# every failed exchange: no connection, a timeout, or a reply that is not HTTP.
 Transport = Callable[[str, bytes, float], tuple[int, bytes]]
 
 
 def _http_post(url: str, payload: bytes, timeout_s: float) -> tuple[int, bytes]:
     # imported on first use: urllib.request loads ssl and http.client, which
     # every session without a remote backend would carry for nothing
+    import http.client
     import urllib.request
 
     req = urllib.request.Request(url, data=payload,
                                  headers={"Content-Type": "application/json"})
-    with urllib.request.urlopen(req, timeout=timeout_s) as resp:
-        return resp.status, resp.read()
+    try:
+        with urllib.request.urlopen(req, timeout=timeout_s) as resp:
+            return resp.status, resp.read()
+    except http.client.HTTPException as exc:  # BadStatusLine, IncompleteRead
+        raise OSError(f"bad HTTP reply: {exc!r}") from exc
+
+
+def _check_endpoint(endpoint: str) -> None:
+    """Refuse what is not an http or https URL with a host and, if it names
+    one, a port from 1 to 65535."""
+    ok = isinstance(endpoint, str)
+    if ok:
+        try:
+            parts = urlsplit(endpoint)
+            ok = (parts.scheme in ("http", "https") and bool(parts.hostname)
+                  and parts.port != 0)  # .port raises for a bad port
+        except ValueError:
+            ok = False
+    if not ok:
+        raise ValueError(f"endpoint must be an http or https URL with a host "
+                         f"and a valid port, not {endpoint!r}")
 
 
 class RemoteBackend:
     """HTTP predictor: POST {"context_id", "prefix", "k"} to <endpoint>/predict.
 
     Any transport failure, timeout or malformed response surfaces as
-    NoPrediction; the engine then falls back to residual mass 1.
+    NoPrediction; the engine then falls back to residual mass 1. The
+    endpoint and timeout_ms are checked here, so a bad one fails at
+    construction rather than on every request.
     """
 
-    def __init__(self, endpoint: str, timeout_ms: int = 1000,
+    def __init__(self, endpoint: str, timeout_ms: float = 1000,
                  transport: Transport = _http_post):
+        _check_endpoint(endpoint)
+        if (isinstance(timeout_ms, bool) or not isinstance(timeout_ms, (int, float))
+                or not 0 < timeout_ms < math.inf):
+            raise ValueError(f"timeout_ms must be a finite number above 0, "
+                             f"not {timeout_ms!r}")
         self.url = endpoint.rstrip("/") + "/predict"
         self.timeout_ms = timeout_ms
         self._transport = transport

@@ -74,42 +74,62 @@ def fixed_template(tokens: Sequence[str]) -> TargetTemplate:
     return TargetTemplate(tuple(tokens))
 
 
-def consensus(hyps: Sequence[tuple[Sequence[str], float, bool]],
-              tau: float) -> TargetTemplate:
-    """Commit what the tau-mass cover of hypotheses agrees on.
+Cover = tuple[tuple[Sequence[str], bool], ...]
+
+
+def tau_cover(hyps: Sequence[tuple[Sequence[str], float, bool]],
+              tau: float) -> Cover:
+    """The tau-mass cover of hypotheses, as (translation, terminal) pairs.
 
     Takes (translation, mass, terminal) hypotheses in any order and ranks
     them by mass descending, then translation, then truncated before
     terminal, so the result does not depend on their order. The cover is
-    the shortest prefix of that ranking whose cumulative mass reaches tau.
+    the shortest prefix of that ranking whose running sum of masses reaches
+    tau - _TAU_SLACK, in rank order and without the masses, which consensus
+    does not read; it is empty when the total falls short.
+    """
+    cover = []
+    cum = 0.0
+    for toks, mass, terminal in sorted(hyps, key=lambda h: (-h[1], h[0], h[2])):
+        cover.append((toks, terminal))
+        cum += mass
+        if cum >= tau - _TAU_SLACK:
+            return tuple(cover)
+    return ()
+
+
+def consensus(hyps: Sequence[tuple[Sequence[str], float, bool]],
+              tau: float, cover: Cover | None = None) -> TargetTemplate:
+    """Commit what the tau-mass cover of hypotheses agrees on.
+
+    The cover is `tau_cover(hyps, tau)`; a caller that has it already
+    passes it as `cover`, so the hypotheses are ranked once. The template
+    is built from the cover's translations and terminal flags alone, never
+    from the masses: equal covers give equal templates.
     The template is the cover's longest common prefix, the hole, and its
     longest common suffix; the suffix is truncated if prefix and suffix
     would overlap inside any cover member (the prefix wins, being emittable
     earliest). Identical cover members commit fully with no hole.
     A member that is not terminal was cut at the prediction horizon, so its
     translation's end is not the utterance's: a cover holding one commits
-    the common prefix and a hole only. Below-tau total commits nothing.
+    the common prefix and a hole only. An empty cover (below tau) commits
+    nothing.
     """
-    cover: list[Sequence[str]] = []
-    cum = 0.0
-    ends = True  # every cover member runs to the utterance's end
-    for toks, mass, terminal in sorted(hyps, key=lambda h: (-h[1], h[0], h[2])):
-        cover.append(toks)
-        ends = ends and terminal
-        cum += mass
-        if cum >= tau - _TAU_SLACK:
-            break
-    else:
+    if cover is None:
+        cover = tau_cover(hyps, tau)
+    if not cover:
         return all_hole_template()
-
-    first = tuple(cover[0])
-    if all(tuple(h) == first for h in cover[1:]):
+    members, terminals = zip(*cover)
+    ends = all(terminals)  # every member runs to the utterance's end
+    first = tuple(members[0])
+    rest = members[1:]
+    if all(tuple(h) == first for h in rest):
         return TargetTemplate(first, None if ends else ())
-    p = min(len(first), *(common_prefix_len(first, h) for h in cover[1:]))
+    p = min(len(first), *(common_prefix_len(first, h) for h in rest))
     if not ends:
         return TargetTemplate(first[:p], ())
-    s = min(len(first), *(common_suffix_len(first, h) for h in cover[1:]))
-    shortest = min(len(h) for h in cover)
+    s = min(len(first), *(common_suffix_len(first, h) for h in rest))
+    shortest = min(len(first), *(len(h) for h in rest))
     if p + s > shortest:
         s = shortest - p
     return TargetTemplate(first[:p], first[len(first) - s:])

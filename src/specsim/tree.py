@@ -268,7 +268,7 @@ def prune(tree: PredictionTree, epsilon: float) -> bool:
 
 def leaf_hypotheses(tree: PredictionTree) -> list[tuple[tuple[str, ...], float, bool]]:
     """Named-leaf (translation, mass, terminal) triples, in one walk, in walk
-    order: fixed for a given tree, not ranked (consensus ranks them)."""
+    order: fixed for a given tree, not ranked (tau_cover ranks them)."""
     out = []
     stack = [tree.root]
     while stack:

@@ -219,6 +219,14 @@ def test_run_remote_backend_against_local_server(tmp_path):
         server.server_close()
 
 
+def test_run_remote_backend_refuses_a_bad_endpoint_by_name(tmp_path, capsys):
+    argv = run_args(tmp_path, **{"--backend": "remote", "--fixtures": None,
+                                 "--endpoint": "e"})
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: endpoint ") and "not 'e'" in err
+
+
 @pytest.mark.parametrize("text", [
     pytest.param("[" * 100000, id="nested-too-deeply"),
     pytest.param("{}", id="no-fields"),

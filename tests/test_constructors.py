@@ -8,7 +8,7 @@ import pytest
 
 from specsim.ngram import END, START, NgramModel, train_ngram
 from specsim.phrases import PhraseTable
-from specsim.predictor import NgramBackend, Prediction, ScriptedBackend
+from specsim.predictor import NgramBackend, Prediction, RemoteBackend, ScriptedBackend
 from specsim.stream import EngineConfig
 
 
@@ -51,10 +51,30 @@ def _scripted(p=0.5, cont=("x",), tr=("t",)):
     pytest.param(lambda: _scripted(tr=None), id="scripted-translation-none"),
     pytest.param(lambda: NgramBackend(train_ngram([["a"]], 2), PhraseTable(), max_len=0),
                  id="ngram-backend-max-len-0"),
+    pytest.param(lambda: RemoteBackend("e"), id="remote-endpoint-not-a-url"),
+    pytest.param(lambda: RemoteBackend("ftp://h"), id="remote-endpoint-not-http"),
+    pytest.param(lambda: RemoteBackend("http://"), id="remote-endpoint-no-host"),
+    pytest.param(lambda: RemoteBackend("http://h:abc"), id="remote-endpoint-port-not-a-number"),
+    pytest.param(lambda: RemoteBackend("http://h:0"), id="remote-endpoint-port-0"),
+    pytest.param(lambda: RemoteBackend("http://h:65536"), id="remote-endpoint-port-too-large"),
+    pytest.param(lambda: RemoteBackend("http://h", timeout_ms=-5), id="remote-timeout-negative"),
+    pytest.param(lambda: RemoteBackend("http://h", timeout_ms=float("nan")),
+                 id="remote-timeout-nan"),
+    pytest.param(lambda: RemoteBackend("http://h", timeout_ms=float("inf")),
+                 id="remote-timeout-inf"),
+    pytest.param(lambda: RemoteBackend("http://h", timeout_ms=0), id="remote-timeout-0"),
+    pytest.param(lambda: RemoteBackend("http://h", timeout_ms=True), id="remote-timeout-bool"),
 ])
 def test_constructor_rejects(build):
     with pytest.raises(ValueError):
         build()
+
+
+def test_remote_backend_names_the_bad_endpoint_and_takes_good_ones():
+    with pytest.raises(ValueError, match=r"endpoint .*, not 'http://h:abc'"):
+        RemoteBackend("http://h:abc")
+    for endpoint in ("http://h", "https://h:8080/api/", "http://127.0.0.1:1", "http://[::1]:9"):
+        assert RemoteBackend(endpoint, timeout_ms=0.5).url == endpoint.rstrip("/") + "/predict"
 
 
 def test_scripted_backend_names_the_bad_entry():

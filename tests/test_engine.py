@@ -23,7 +23,8 @@ from specsim.phrases import PhraseTable, translate
 from specsim.predictor import NgramBackend, NoPrediction, Prediction, ScriptedBackend
 from specsim.replay import events_to_jsonl, replay
 from specsim.stream import ContextDoc, EngineConfig, TokenEvent, transcript_from_tokens
-from specsim.template import _TAU_SLACK, all_hole_template
+from specsim.template import (_TAU_SLACK, TargetTemplate, all_hole_template,
+                              fixed_template, tau_cover)
 from specsim.tree import leaf_hypotheses, prune
 
 from conftest import make_ngram_scenario, make_scenario, random_config
@@ -769,6 +770,77 @@ def test_a_commit_at_the_bound_runs_the_full_path(monkeypatch):
     assert not session._dirty
 
 
+# -- the commit whose cover is unchanged ----------------------------------------
+
+# tau 0.5 covers "x y" alone, before and after "y" is observed, while the
+# leaf masses change
+COVERED = ScriptedBackend({(CTX.id, ()): [Prediction(("x", "y", END), 0.6, ("X", "Y")),
+                                          Prediction(("x", "z", END), 0.3, ("X", "Z"))]})
+
+
+def covered_sessions(template=None):
+    """An engine and a reference session on COVERED, both from template,
+    its prefix already emitted."""
+    cfg = EngineConfig(tau=0.5)
+    sessions = (start_session(cfg, CTX, COVERED, PhraseTable({})),
+                ReferenceSession(cfg, CTX, COVERED, PhraseTable({})))
+    if template is not None:
+        for s in sessions:
+            s.template, s.emitted = template, list(template.prefix)
+    return sessions
+
+
+def test_a_repeated_cover_against_the_same_template_skips_consensus_and_refine(
+        monkeypatch):
+    fast, slow = covered_sessions()
+    calls = record_commit_calls(monkeypatch)
+    feed(fast, TokenEvent(0, "x", 0))
+    assert calls == ["leaf_hypotheses", "consensus", "refine"]
+    committed, masses = fast.template, [m for _, m, _ in leaf_hypotheses(fast.tree)]
+    del calls[:]
+    feed(fast, TokenEvent(1, "y", 100))
+    assert calls == ["leaf_hypotheses"]  # the walk, then the skip
+    assert [m for _, m, _ in leaf_hypotheses(fast.tree)] != masses
+    assert fast.template is committed and committed == fixed_template(("X", "Y"))
+    for i, tok in enumerate(["x", "y"]):
+        feed(slow, TokenEvent(i, tok, i * 100))
+    assert fast.events == slow.events and slow.template == committed
+
+
+def test_after_a_conflict_the_same_cover_runs_in_full_and_logs_it_again(monkeypatch):
+    fast, slow = covered_sessions(fixed_template(("Q",)))
+    calls = record_commit_calls(monkeypatch)
+    for i, tok in enumerate(["x", "y"]):
+        del calls[:]
+        got = feed(fast, TokenEvent(i, tok, i * 100))
+        assert calls == ["leaf_hypotheses", "consensus", "refine"]
+        assert kinds(got) == ["conflict"]
+        assert kinds(feed(slow, TokenEvent(i, tok, i * 100))) == ["conflict"]
+    assert fast.events == slow.events
+    assert fast.template == slow.template == fixed_template(("Q",))
+
+
+def test_after_a_catchup_the_same_cover_runs_in_full(monkeypatch):
+    # "x" is cut at the horizon, so consensus commits "X" and a hole, and
+    # the catch-up's "A" goes into that hole
+    truncated = [Prediction(("x",), 0.9, ("X",))]
+    backend = ScriptedBackend({(CTX.id, ()): truncated, (CTX.id, ("a",)): truncated})
+    session = session_for(backend, PhraseTable({("a",): ("A",)}), tau=0.5)
+    calls = record_commit_calls(monkeypatch)
+    session._commit(0)
+    session._commit(0)
+    assert calls == ["leaf_hypotheses", "consensus", "refine", "leaf_hypotheses"]
+    cover = tau_cover(leaf_hypotheses(session.tree), 0.5)
+    deliver(session, TokenEvent(0, "a", 0))
+    catchup(session)
+    assert session.template == TargetTemplate(("X", "A"), ())
+    assert tau_cover(leaf_hypotheses(session.tree), 0.5) == cover
+    del calls[:]
+    session._commit(0)
+    assert calls == ["leaf_hypotheses", "consensus", "refine"]
+    assert session.template == TargetTemplate(("X", "A"), ())
+
+
 # "a" is cut at the horizon, so observing it expands it: the tree has an
 # internal node whose mass the named mass must not count
 EXPANDING = ScriptedBackend({
@@ -835,13 +907,16 @@ def test_no_prediction_at_an_expansion_gives_the_leaf_an_other_child_only():
 # n-gram kind expands and checks drift.
 REACHES = {
     "scripted": ("catchup", "conflict", "below-tau commit"),
-    "ngram": ("expansion", "catchup", "conflict", "context_shift", "below-tau commit"),
+    "ngram": ("expansion", "catchup", "conflict", "context_shift", "below-tau commit",
+              "unchanged-cover commit"),
 }
 
 
 @pytest.mark.parametrize("kind", REACHES)
-def test_the_engine_matches_the_reference_after_every_tick(kind):
+def test_the_engine_matches_the_reference_after_every_tick(kind, monkeypatch):
     reached = Counter()
+    # wraps the engine's names only: the reference imports its own
+    calls = record_commit_calls(monkeypatch)
 
     # the scripted kind draws its tau in random_config; the n-gram kind
     # ignores the shared ending
@@ -861,9 +936,13 @@ def test_the_engine_matches_the_reference_after_every_tick(kind):
         reference = ReferenceSession(cfg, ctx, backend, table)
 
         def counted_commit(t_ms, commit=session._commit):
-            if leaf_mass(session.tree) < cfg.tau - 2 * _TAU_SLACK:
-                reached["below-tau commit"] += 1
+            below = leaf_mass(session.tree) < cfg.tau - 2 * _TAU_SLACK
+            n = len(calls)
             commit(t_ms)
+            if below:
+                reached["below-tau commit"] += 1
+            elif "consensus" not in calls[n:]:
+                reached["unchanged-cover commit"] += 1
 
         session._commit = counted_commit
         for (got, got_report), (want, want_report) in zip(

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import socket
 import subprocess
 import sys
 import threading
@@ -379,6 +380,29 @@ def test_remote_against_live_local_server():
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_remote_reply_that_is_not_http_is_no_prediction():
+    listener = socket.create_server(("127.0.0.1", 0))
+    served = []
+
+    def answer_garbage():
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(65536)
+            conn.sendall(b"garbage\r\n\r\n")
+            served.append(True)
+
+    thread = threading.Thread(target=answer_garbage, daemon=True)
+    thread.start()
+    try:
+        backend = RemoteBackend(f"http://127.0.0.1:{listener.getsockname()[1]}")
+        with pytest.raises(NoPrediction, match="BadStatusLine"):
+            backend.predict(CTX, ("a",), 4)
+        thread.join(5)
+        assert served == [True]
+    finally:
+        listener.close()
 
 
 def test_prediction_sets_always_valid_across_backends():

@@ -15,7 +15,7 @@ from specsim.phrases import IdiomSpan
 from specsim.template import (_TAU_SLACK, RevisionConflict, TargetTemplate,
                               all_hole_template, consensus, emittable,
                               extend_into_hole, fixed_template, refine,
-                              resolve_with)
+                              resolve_with, tau_cover)
 
 from oracles import consensus_oracle
 
@@ -154,7 +154,10 @@ def test_consensus_matches_bruteforce_oracle():
                 tau = running_total(ranked[:first + 1])
                 reached["cut inside the pair"] += 1
         shuffled = rng.sample(hyps, len(hyps))
-        assert consensus(shuffled, tau) == consensus_oracle(rank(hyps), tau)
+        want = consensus_oracle(rank(hyps), tau)
+        assert consensus(shuffled, tau) == want
+        # given the cover, consensus reads nothing else
+        assert consensus((), tau, tau_cover(shuffled, tau)) == want
     assert all(reached[what] > 20 for what in (
         "below", "at", "above", "mass tie", "truncated and terminal",
         "cut inside the pair")), reached
@@ -261,14 +264,20 @@ def _all_templates(alphabet, most):
 
 def test_refine_pinned_on_every_small_pair():
     # all 160 x 160 pairs over {a, b} with at most 4 committed tokens; "="
-    # marks a result that is the committed template itself
+    # marks a result that is the committed template itself. Refining a
+    # merge by the same fresh template returns that merge itself, which the
+    # engine's unchanged-cover skip rests on
     templates = _all_templates("ab", 4)
     digest = hashlib.sha256()
+    merged = 0
     for committed in templates:
         for fresh in templates:
             out = refine(committed, fresh)
             digest.update(("=" if out is committed else repr(out)).encode() + b"\n")
-    assert len(templates) ** 2 == 25_600
+            if isinstance(out, TargetTemplate):
+                assert refine(out, fresh) is out
+                merged += 1
+    assert len(templates) ** 2 == 25_600 and merged == 6_630
     assert digest.hexdigest() == (
         "5ddc347efda9f12eb27dd6bc38c414a8a4f03325b8d444a7337eaf8391186175")
 
@@ -293,7 +302,7 @@ def test_refine_keeps_committed_edges_and_is_idempotent(committed, fresh):
     assert len(out.fixed_tokens()) >= len(committed.fixed_tokens())
     if committed.suffix is None:
         assert out is committed
-    assert refine(out, fresh) == out
+    assert refine(out, fresh) is out  # what the engine's unchanged-cover skip rests on
 
 
 def test_extend_into_hole():
