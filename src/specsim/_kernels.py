@@ -4,40 +4,21 @@ from __future__ import annotations
 
 from typing import Sequence
 
-_CHUNK = 256  # slice-compare stride; slice equality runs at C speed
-
 
 def common_prefix_len(a: Sequence, b: Sequence) -> int:
     """Length of the longest common prefix of two token sequences."""
-    n = min(len(a), len(b))
-    lo = 0
-    while lo < n:
-        hi = min(lo + _CHUNK, n)
-        if a[lo:hi] == b[lo:hi]:
-            lo = hi
-            continue
-        for i in range(lo, hi):
-            if a[i] != b[i]:
-                return i
-        return hi
-    return n
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            return i
+    return min(len(a), len(b))
 
 
 def common_suffix_len(a: Sequence, b: Sequence) -> int:
     """Length of the longest common suffix of two token sequences."""
-    la, lb = len(a), len(b)
-    n = min(la, lb)
-    matched = 0
-    while matched < n:
-        ch = min(_CHUNK, n - matched)
-        if a[la - matched - ch:la - matched] == b[lb - matched - ch:lb - matched]:
-            matched += ch
-            continue
-        for i in range(matched, matched + ch):
-            if a[la - 1 - i] != b[lb - 1 - i]:
-                return i
-        return matched + ch
-    return n
+    for i, (x, y) in enumerate(zip(reversed(a), reversed(b))):
+        if x != y:
+            return i
+    return min(len(a), len(b))
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:

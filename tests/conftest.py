@@ -1,18 +1,50 @@
-"""Shared fixtures: golden files, toy models, randomized scenario generators."""
+"""Shared fixtures: golden files, expected outputs, the benchmark's workloads,
+toy models, randomized scenario generators."""
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
-from specsim.ngram import END, train_ngram
+from specsim.ngram import END, parse_corpus, train_ngram
 from specsim.phrases import PhraseTable, parse_phrase_table, translate
 from specsim.predictor import NgramBackend, Prediction, ScriptedBackend, load_scripted_fixture
 from specsim.stream import ContextDoc, EngineConfig, Transcript, parse_transcript, transcript_from_tokens
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+
+# Every pinned event-log digest and golden report, in one file: a change
+# that alters a log on purpose edits this file and says why in CHANGES.md.
+EXPECTED = json.loads((FIXTURES / "expected.json").read_text("utf-8"))
+
+
+def load_perfbench(name: str):
+    """A module of the benchmark harness, loaded from perfbench/<name>.py
+    (not a package). It is registered before it runs: @dataclass looks its
+    module up in sys.modules."""
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, ROOT / "perfbench" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module
+        spec.loader.exec_module(module)
+    return sys.modules[key]
+
+
+def set_up_workload(wl):
+    """What perfbench/run.py's set_up builds from a generated workload: the
+    parsed transcripts, the config, the phrase table and a fresh backend."""
+    table = parse_phrase_table(wl.phrases)
+    model = train_ngram(parse_corpus(wl.corpus), wl.order, wl.alpha)
+    backend = NgramBackend(model, table, max_len=wl.max_len)
+    transcripts = [parse_transcript(u.jsonl) for u in wl.utterances]
+    return transcripts, EngineConfig(**wl.config), table, backend
 
 
 @pytest.fixture(scope="session")

@@ -15,15 +15,14 @@ import pytest
 from specsim.engine import start_session
 from specsim.metrics import average_lagging
 from specsim.ngram import train_ngram
-from specsim.phrases import PhraseTable
-from specsim.predictor import NgramBackend
 from specsim.replay import events_to_jsonl, replay
-from specsim.stream import ContextDoc, EngineConfig, transcript_from_tokens
+from specsim.stream import ContextDoc, EngineConfig
 from specsim.template import consensus
 from specsim.tree import advance, build_tree, leaf_hypotheses
 
 import test_tree
-from conftest import make_scenario, random_config
+from conftest import (EXPECTED, load_perfbench, make_scenario, random_config,
+                      set_up_workload)
 from oracles import (consensus_oracle, enumerate_continuations, total_mass,
                      tree_survivor_oracle)
 
@@ -191,36 +190,16 @@ def test_c8_catchup(shopping_backend, shopping_table, shopping_transcript):
                       "catch-up; accuracy 1.0")
 
 
-def synthetic_workload(n_tokens=10000, seed=99):
-    rng = random.Random(seed)
-    vocab = [f"w{i}" for i in range(20)]
-    sentences = [[rng.choice(vocab) for _ in range(rng.randint(4, 9))]
-                 for _ in range(12)]
-    model = train_ngram(sentences, 3, alpha=0.1)
-    table = PhraseTable({(tok,): (f"T{i}",) for i, tok in enumerate(vocab)})
-    toks: list[str] = []
-    while len(toks) < n_tokens:
-        toks.extend(rng.choice(sentences))
-    toks = toks[:n_tokens]
-    reference = tuple(f"T{vocab.index(t)}" for t in toks)
-    transcript = transcript_from_tokens(toks, reference=reference)
-    return transcript, model, table
-
-
-# sha256 of the C9 replay's event log; perfbench/run.py checks its first 16
-# hex digits, so a change to the hot path that alters the log fails here too
-C9_LOG_SHA256 = "3959c84daf3c8a1170c34986284603da2a619abfbf3689f2324c86e6e7b3a517"
-
-
 def test_c9_determinism_and_throughput():
-    transcript, model, table = synthetic_workload()
-
+    # the benchmark's own C9 replay; perfbench/run.py checks the first 16 hex
+    # digits of its log digest, so a change to the hot path that alters the
+    # log fails here too
+    wl = load_perfbench("workloads").c9_replay()
     logs = []
     elapsed = []
     for _ in range(2):
-        backend = NgramBackend(model, table, max_len=10)
-        session = start_session(EngineConfig(k=4, d=2), ContextDoc("c"),
-                                backend, table)
+        (transcript,), config, table, backend = set_up_workload(wl)
+        session = start_session(config, ContextDoc("c"), backend, table)
         started = time.perf_counter()
         events, report = replay(transcript, session)
         elapsed.append(time.perf_counter() - started)
@@ -228,18 +207,15 @@ def test_c9_determinism_and_throughput():
         assert report.emitted_len == 10000
         assert report.divergences == 5431
     assert logs[0] == logs[1]
-    assert hashlib.sha256(logs[0]).hexdigest() == C9_LOG_SHA256
+    assert hashlib.sha256(logs[0]).hexdigest() == EXPECTED["c9_log_sha256"]
     assert min(elapsed) < 5.0, f"10k-token replay took {min(elapsed):.2f}s"
     report_line("C9", f"byte-identical logs; 10k tokens in {min(elapsed):.2f}s "
                       f"(budget 5s)")
 
 
-# sha256 over 300 seeded burst-lag replays; they hold 138 catch-ups and 83
-# conflicts, so the digest also pins every conflict's slot number
-SCENARIO_GOLDEN = "a2a27ccad7c21f01e1760869db2d473674e407eb67478cc63c676185844dd3bc"
-
-
 def test_scripted_scenarios_replay_to_the_golden_digest():
+    # 300 seeded burst-lag replays; they hold 138 catch-ups and 83 conflicts,
+    # so the digest also pins every conflict's slot number
     digest = hashlib.sha256()
     for seed in range(300):
         rng = random.Random(seed)
@@ -250,6 +226,6 @@ def test_scripted_scenarios_replay_to_the_golden_digest():
                                 profile)
         digest.update(events_to_jsonl(events).encode("utf-8"))
         digest.update(report.to_json().encode("utf-8"))
-    assert digest.hexdigest() == SCENARIO_GOLDEN
+    assert digest.hexdigest() == EXPECTED["scenario_log_sha256"]
     report_line("golden", "300 seeded burst-lag scenario replays match the "
                           "pinned sha256")

@@ -12,6 +12,8 @@ import pytest
 from specsim.cli import build_parser, main
 from specsim.ngram import NgramModel
 
+from conftest import EXPECTED
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SHOPPING = FIXTURES / "shopping"
 
@@ -41,8 +43,8 @@ def run_args(tmp_path, **overrides):
 def test_run_shopping_fixture(tmp_path, capsys):
     assert run_cli(*run_args(tmp_path)) == 0
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["divergences"] == 1
-    assert report["accuracy"] == 1.0
+    golden = EXPECTED["shopping_report"]
+    assert {key: report[key] for key in golden} == golden
     assert report["conflicts"] == 0
     lines = (tmp_path / "events.jsonl").read_text().splitlines()
     recs = [json.loads(ln) for ln in lines]

@@ -9,9 +9,7 @@ with an IndexError or an AttributeError.
 
 from __future__ import annotations
 
-import importlib.util
 import math
-from pathlib import Path
 
 from specsim import engine
 from specsim.ngram import train_ngram
@@ -19,18 +17,11 @@ from specsim.phrases import PhraseTable
 from specsim.predictor import NgramBackend
 from specsim.stream import ContextDoc, EngineConfig, TokenEvent
 
-SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-
-
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_perfbench
 
 
 def test_every_traced_owner_and_attribute_resolves():
-    spans = load_spans()
+    spans = load_perfbench("spans")
     # Tracer.installed reads vars(owner)[attr]: an inherited method would not do
     missing = [f"{owner}.{attr}" for _, owner, attr in spans.SPANS
                if attr not in vars(spans._owner(owner))]
@@ -46,9 +37,10 @@ def test_a_traced_session_reaches_every_span():
     hypothesis predicted, and that no sentence ends with, leaves finalize no
     finished hypothesis, so it translates the stream, and a reference is
     scored. That session's named mass never reaches tau, so its commits are
-    skipped before consensus ranks the leaves; a second session on a one-sentence
-    corpus holds over 0.9 of the mass in one hypothesis and commits it."""
-    spans = load_spans()
+    skipped before tau_cover ranks the leaves; a second session on a
+    one-sentence corpus holds over 0.9 of the mass in one hypothesis and
+    commits it."""
+    spans = load_perfbench("spans")
     model = train_ngram([["a", "b", "c", "d", "e"], ["a", "b", "d", "c", "e"]], 2)
     table = PhraseTable({("a",): ("A",), ("b", "c"): ("BC",), ("d",): ("D",)},
                         atomic=[("b", "c")])

@@ -17,6 +17,7 @@ from specsim.template import (_TAU_SLACK, RevisionConflict, TargetTemplate,
                               extend_into_hole, fixed_template, refine,
                               resolve_with, tau_cover)
 
+from conftest import EXPECTED
 from oracles import consensus_oracle
 
 H1 = tuple("Yesterday , I went to see a movie with my friend".split())
@@ -278,8 +279,7 @@ def test_refine_pinned_on_every_small_pair():
                 assert refine(out, fresh) is out
                 merged += 1
     assert len(templates) ** 2 == 25_600 and merged == 6_630
-    assert digest.hexdigest() == (
-        "5ddc347efda9f12eb27dd6bc38c414a8a4f03325b8d444a7337eaf8391186175")
+    assert digest.hexdigest() == EXPECTED["refine_pairs_sha256"]
 
 
 def _end(t):

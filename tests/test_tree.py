@@ -110,9 +110,12 @@ def test_advance_certain_single_child_keeps_mass():
 
 
 def test_advance_renormalises_after_removing_a_tiny_mass():
-    tree = build_tree((), ps_of(("a", 1 - 1e-6, "ta"), ("b", 1e-6, "tb")))
-    assert advance(tree, "a").changed
-    assert total_mass(tree) == pytest.approx(1.0, abs=1e-12)
+    # 1e-7 leaves the survivors' sum inside 1e-6 of 1: renormalising must
+    # not wait for a gap that wide
+    for removed in (1e-6, 1e-7):
+        tree = build_tree((), ps_of(("a", 1 - removed, "ta"), ("b", removed, "tb")))
+        assert advance(tree, "a").changed
+        assert total_mass(tree) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_advance_moves_only_when_an_internal_node_loses_mass():
@@ -229,6 +232,9 @@ def test_prune_folds_below_epsilon():
     assert [n.path_p for n in named] == [0.4, 0.3]
     assert other[0].path_p == pytest.approx(0.3, abs=1e-9)
     assert total_mass(tree) == pytest.approx(1.0, abs=1e-12)
+    tree = build_tree((), shopping_ps())
+    assert prune(tree, 0.3)  # a node at exactly epsilon is not below it
+    assert [n.path_p for n in named_leaves(tree)] == [0.4, 0.3]
 
 
 def test_prune_identity_when_nothing_to_do():
