@@ -7,10 +7,15 @@ catch-up translation, and a perplexity check each time the observed prefix
 reaches or passes a multiple of the drift window flags context drift.
 Emission is append-only: committed output is never retracted.
 
-A hit tick expands from the frontier `advance` hands back, without walking
-the tree again. It prunes only when a prune may fold something: after a
-tree is built (at the start, on re-predict and on catch-up), after an
-expansion, and after an advance that left a named node with less mass. A
+A hit tick looks for leaves to expand only among those `advance` hands back
+as completed, the named non-terminal leaves whose edge the token finished:
+every other consumed leaf was expanded on its own tick or sits at the depth
+cap. On most ticks there are none, and the tick reads no leaf for
+expansion. A session without a context document has no drift baseline, and
+its drift check returns before reading anything else. A hit tick prunes
+only when a prune may fold something: after a tree is built (at the start,
+on re-predict and on catch-up), after an expansion, and after an advance
+that left a named node with less mass. A
 prune of a tree whose named nodes only gained mass and lost siblings since
 the last prune changes nothing, so the skipped ones would not change the log
 either. A commit whose named leaves hold less than tau of the mass changes
@@ -233,12 +238,13 @@ class Session:
                 self._dirty = True
             if outcome.moved:
                 self._prune_due = True
-            leaves = expandable_leaves(outcome.frontier, self.config.d)
-            if leaves:
-                prefix = self._view()  # what every expandable leaf has consumed
-                for leaf in leaves:
-                    if expand(self.tree, leaf, self._ranked(prefix)):
-                        self._dirty = self._prune_due = True
+            if outcome.completed:
+                leaves = expandable_leaves(outcome.completed, self.config.d)
+                if leaves:
+                    prefix = self._view()  # what every expandable leaf has consumed
+                    for leaf in leaves:
+                        if expand(self.tree, leaf, self._ranked(prefix)):
+                            self._dirty = self._prune_due = True
             if self._prune_due:
                 if prune(self.tree, self.config.epsilon):
                     self._dirty = True
@@ -251,9 +257,11 @@ class Session:
     def _drift_check(self, t_ms: int):
         """Check the last drift window once the observed prefix reaches or
         passes the next multiple of it, so a catch-up skips no check."""
+        if self._baseline_ppl is None:
+            return
         cfg = self.config
         n = len(self.observed)
-        if n < self._next_drift or self._baseline_ppl is None:
+        if n < self._next_drift:
             return
         self._next_drift = (n // cfg.drift_window + 1) * cfg.drift_window
         window = tuple(self.observed[-cfg.drift_window:])

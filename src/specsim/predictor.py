@@ -48,6 +48,12 @@ class Prediction:
     translation: tuple[str, ...]
 
 
+# The frozen __init__ sets each field through object.__setattr__; the slot
+# descriptors set them directly, in about half the time per prediction.
+_set_continuation, _set_p, _set_translation = (
+    Prediction.__dict__[name].__set__ for name in ("continuation", "p", "translation"))
+
+
 def _malformed(pr: object) -> str | None:
     """Why pr is not a Prediction with p in (0, 1], a non-empty tuple of
     non-empty str tokens as its continuation and a tuple translation; None
@@ -269,8 +275,14 @@ class NgramBackend:
                           for pr in ranked)
             if len(pending) < self.model.order:
                 tails_by_pending[pending] = tails
-        return tuple(Prediction(pr.continuation, pr.p, out + tail)
-                     for pr, tail in zip(ranked, tails))
+        built = []  # Prediction(pr.continuation, pr.p, out + tail) for each
+        for pr, tail in zip(ranked, tails):
+            hyp = object.__new__(Prediction)
+            _set_continuation(hyp, pr.continuation)
+            _set_p(hyp, pr.p)
+            _set_translation(hyp, out + tail)
+            built.append(hyp)
+        return tuple(built)
 
     def perplexity(self, window: Sequence[str]) -> float:
         return self.model.perplexity(window)

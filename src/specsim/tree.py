@@ -19,10 +19,11 @@ other child takes all of the node's mass.
 
 `advance` visits the tree once per token. That visit also finds whether a
 named leaf survived and, on a tree with no internal node, the survivors'
-mass, so nothing walks the leaves again. It hands back the frontier it
-visited, so its caller finds the leaves to expand without another walk, and
-says whether a named node lost mass, so its caller can skip a `prune` that
-would change nothing.
+mass, so nothing walks the leaves again. It hands back the named leaves
+whose edge this token finished and that are not terminal: the only leaves
+an expansion after this token can grow, so its caller looks at nothing else,
+and on most tokens at nothing. It also says whether a named node lost mass,
+so its caller can skip a `prune` that would change nothing.
 
 `leaf_hypotheses` is a commit's one walk of the tree: it returns the named
 leaves in walk order, and consensus ranks them, so this module decides no
@@ -107,12 +108,16 @@ class PredictionTree:
 
 @dataclass(slots=True)
 class MatchOutcome:
-    """Result of advancing one observed token."""
+    """Result of advancing one observed token: what its caller must redo.
+
+    `completed` holds, in walk order, the named leaves whose edge this
+    token finished and that are not terminal, the only leaves an expansion
+    after this token can grow; it is empty after a divergence."""
 
     diverged: bool
     changed: bool  # any subtree removed or leaf masses renormalized
     moved: bool  # a named node below the root ended with less mass
-    frontier: list[TreeNode]  # the surviving leaves, in walk order
+    completed: list[TreeNode]
 
 
 def _attach_predictions(node: TreeNode, predictions: Sequence[Prediction],
@@ -137,23 +142,28 @@ def build_tree(prefix: Sequence[str], predictions: Sequence[Prediction]) -> Pred
 
 
 def _consume(node: TreeNode, token: str, leaves: list[TreeNode],
-             inner: list[tuple[TreeNode, float]]) -> tuple[bool, bool]:
+             inner: list[tuple[TreeNode, float]],
+             completed: list[TreeNode]) -> tuple[bool, bool]:
     """Advance the subtree under `node` by one token, appending its surviving
-    leaves, and its internal nodes with their masses before. Sets `node`'s
-    mass to the sum of its surviving children and returns whether any node
-    was removed and whether a named leaf survived."""
+    leaves, its internal nodes with their masses before, and the named leaves
+    whose non-terminal edge the token finished. Sets `node`'s mass to the sum
+    of its surviving children and returns whether any node was removed and
+    whether a named leaf survived."""
     kept = []
     removed = named = False
     for c in node.children:
         if c.children:  # consumed; its other survives, so it does too
             inner.append((c, c.path_p))
-            sub_removed, sub_named = _consume(c, token, leaves, inner)
+            sub_removed, sub_named = _consume(c, token, leaves, inner, completed)
             removed = removed or sub_removed
             named = named or sub_named
         elif not c.is_other:
-            if c.edge_pos == len(c.edge) or c.edge[c.edge_pos] != token:
+            edge, pos = c.edge, c.edge_pos
+            if pos == len(edge) or edge[pos] != token:
                 continue
-            c.edge_pos += 1
+            c.edge_pos = pos = pos + 1
+            if pos == len(edge) and not c.terminal:
+                completed.append(c)
             named = True
             leaves.append(c)
         else:
@@ -162,36 +172,39 @@ def _consume(node: TreeNode, token: str, leaves: list[TreeNode],
     if len(kept) != len(node.children):
         node.children = kept
         removed = True
-    node.path_p = math.fsum(c.path_p for c in kept)
+    node.path_p = math.fsum([c.path_p for c in kept])
     return removed, named
 
 
 def advance(tree: PredictionTree, token: str) -> MatchOutcome:
     """Consume one observed source token.
 
-    Named frontier nodes survive iff their next unconsumed edge token equals
-    the observed one; other nodes are consistent with anything. Fully
-    consumed leaves cannot match (their hypothesis claimed the sentence was
-    over or was never expanded). Survivor masses renormalize on their priors;
-    with no surviving named leaf the tree collapses to other-only mass 1.
+    Named leaves survive iff their next unconsumed edge token equals the
+    observed one; other nodes are consistent with anything. Fully consumed
+    leaves cannot match (their hypothesis claimed the sentence was over or
+    was never expanded). Survivor masses renormalize on their priors; with
+    no surviving named leaf the tree collapses to other-only mass 1.
 
-    The outcome's frontier is the tree's leaves, `list(tree.leaves())`,
-    collected by this one visit. It stays exact until the tree is next
-    expanded or pruned. `moved` is false when no named node below the root
-    ended with less mass than it had. Sibling sets only shrink, so then
-    every named node at or above epsilon still is, and a pruned tree is
-    still pruned. Leaves lose mass only if the survivors summed above 1, so
-    on a tree without internal nodes an advance practically never moves.
+    The outcome's `completed` lists, in walk order, the named leaves whose
+    edge this token finished and that are not terminal. A caller that
+    expands every expandable leaf after each token finds all of them there:
+    a non-terminal edge is never empty, so no leaf is built consumed, and a
+    leaf finished by an earlier token was expanded then or sits at the
+    depth cap. `moved` is false when no named node below the root ended
+    with less mass than it had. Sibling sets only shrink, so then every
+    named node at or above epsilon still is, and a pruned tree is still
+    pruned. Leaves lose mass only if the survivors summed above 1, so on a
+    tree without internal nodes an advance practically never moves.
     """
     leaves: list[TreeNode] = []
     inner: list[tuple[TreeNode, float]] = []
-    removed, named = _consume(tree.root, token, leaves, inner)
+    completed: list[TreeNode] = []
+    removed, named = _consume(tree.root, token, leaves, inner, completed)
 
     if not named:
         tree.root = TreeNode(False, (), 1.0, None, False, 0)
-        other = _other(1.0, 1)
-        tree.root.children = [other]
-        return MatchOutcome(True, True, True, [other])
+        tree.root.children = [_other(1.0, 1)]
+        return MatchOutcome(True, True, True, [])
 
     # without internal nodes the root's children are the leaves, and
     # _consume set its mass to their fsum, which is correctly rounded
@@ -208,7 +221,7 @@ def advance(tree: PredictionTree, token: str) -> MatchOutcome:
     for n, mass in inner:
         if n.path_p < mass:
             moved = True
-    return MatchOutcome(False, removed or scaled, moved, leaves)
+    return MatchOutcome(False, removed or scaled, moved, completed)
 
 
 def expand(tree: PredictionTree, node: TreeNode, ranked: Sequence[Prediction]) -> bool:
@@ -230,12 +243,31 @@ def expand(tree: PredictionTree, node: TreeNode, ranked: Sequence[Prediction]) -
     return True
 
 
-def expandable_leaves(frontier: Iterable[TreeNode], max_depth: int) -> list[TreeNode]:
-    """The named leaves of `frontier` (an advance's, or `tree.leaves()`) whose
-    edge is fully consumed, below the depth cap."""
-    return [n for n in frontier
+def expandable_leaves(leaves: Iterable[TreeNode], max_depth: int) -> list[TreeNode]:
+    """The named leaves among `leaves` (an advance's `completed`, or
+    `tree.leaves()`) that are fully consumed, not terminal and below the
+    depth cap."""
+    return [n for n in leaves
             if not n.is_other and n.consumed and not n.terminal
             and n.depth < max_depth]
+
+
+def _fold(parent: TreeNode, epsilon: float) -> bool:
+    """prune below `parent`: one scan of its children, which folds them only
+    when a named one is below epsilon and recurses into the internal ones."""
+    changed = fold = False
+    for c in parent.children:
+        if c.path_p < epsilon and not c.is_other:
+            fold = True
+        elif c.children and _fold(c, epsilon):
+            changed = True
+    if fold:
+        *named, other = parent.children
+        keep = [c for c in named if c.path_p >= epsilon]
+        other.path_p += math.fsum([c.path_p for c in named if c.path_p < epsilon])
+        keep.append(other)
+        parent.children = keep
+    return changed or fold
 
 
 def prune(tree: PredictionTree, epsilon: float) -> bool:
@@ -245,25 +277,15 @@ def prune(tree: PredictionTree, epsilon: float) -> bool:
     conserved exactly: every removed subtree's mass lands in the last child,
     the other. Returns whether anything changed. No cap on the number of
     children is needed: they come only from a checked tuple of at most k.
+    When no named node is below epsilon, it reads each child list once and
+    builds nothing.
 
     Only the structure and the named nodes' masses are read, and a second
     run with the same arguments changes nothing. So after a run, the
     next one can change something only once an `expand`, or an `advance`
     whose outcome has `moved`, changed the tree.
     """
-    changed = False
-    stack = [tree.root]
-    while stack:
-        parent = stack.pop()
-        *named, other = parent.children
-        keep = [c for c in named if c.path_p >= epsilon]
-        if len(keep) != len(named):
-            other.path_p += math.fsum(c.path_p for c in named if c.path_p < epsilon)
-            keep.append(other)
-            parent.children = keep
-            changed = True
-        stack.extend(c for c in keep if c.children)
-    return changed
+    return _fold(tree.root, epsilon)
 
 
 def leaf_hypotheses(tree: PredictionTree) -> list[tuple[tuple[str, ...], float, bool]]:

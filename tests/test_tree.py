@@ -143,7 +143,9 @@ def test_an_advance_below_an_expansion_keeps_walk_order_and_can_leave_a_fold():
     assert not prune(tree, 0.1)
     out = advance(tree, "c")  # kills b: the expanded node keeps only its other
     node_other = node.children[0]
-    assert out.frontier == [node_other, x, root_other] == list(tree.leaves())
+    assert list(tree.leaves()) == [node_other, x, root_other]
+    # "c" finished x's edge, but x ends the utterance: nothing to expand
+    assert x.consumed and x.terminal and out.completed == []
     assert out.moved and node.path_p < 0.1
     assert prune(tree, 0.1)  # the node fell below epsilon: this prune folds it
 
@@ -174,11 +176,11 @@ def test_expand_scales_children_to_node_mass():
 def test_expand_depth_cap_is_noop():
     # the engine expands only what expandable_leaves returns
     tree = build_tree((), prediction_set([Prediction(("a",), 1.0, ("t",))]))
-    frontier = advance(tree, "a").frontier
+    completed = advance(tree, "a").completed
     node = next(n for n in tree.leaves() if not n.is_other)
-    assert node.depth == 1
-    assert expandable_leaves(frontier, max_depth=1) == []
-    assert expandable_leaves(frontier, max_depth=2) == [node]
+    assert node.depth == 1 and completed == [node]
+    assert expandable_leaves(completed, max_depth=1) == []
+    assert expandable_leaves(completed, max_depth=2) == [node]
 
 
 def test_expand_two_rounds_gives_product_masses():
@@ -396,15 +398,18 @@ VOCAB = ["u", "v", "w", "x", "y"]
 
 
 @st.composite
-def prediction_sets(draw):
-    """1-5 distinct continuations over VOCAB whose masses sum to 0.5-1."""
-    cont = st.lists(st.sampled_from(VOCAB), min_size=1, max_size=4).map(tuple)
+def prediction_sets(draw, bare_end=False):
+    """1-5 distinct continuations over VOCAB whose masses sum to 0.5-1; with
+    bare_end, one may also be the end marker alone, a terminal leaf built
+    with its (empty) edge consumed."""
+    cont = st.lists(st.sampled_from(VOCAB), min_size=0 if bare_end else 1,
+                    max_size=4).map(tuple)
     drawn = draw(st.lists(st.tuples(cont, st.floats(0.05, 1.0), st.booleans()),
                           min_size=1, max_size=5, unique_by=lambda t: t[0]))
     scale = draw(st.floats(0.5, 1.0)) / sum(mass for _, mass, _ in drawn)
     items = []
     for cont, mass, terminal in drawn:
-        if terminal:
+        if terminal or not cont:
             cont = cont + (END,)
         items.append(Prediction(cont, mass * scale, ("t",) + cont))
     return prediction_set(items)
@@ -433,10 +438,13 @@ def picked_token(tree, pick):
 
 
 def advanced(tree, token):
-    """advance, checking that the frontier it hands back is the tree's
-    leaves, by identity and in walk order."""
+    """advance, checking that the leaves it hands back as completed are the
+    non-terminal named leaves whose last edge token was `token`, by identity
+    and in walk order."""
+    last = [n for n in tree.leaves() if not n.is_other and not n.terminal
+            and n.edge_pos == len(n.edge) - 1 and n.edge[-1] == token]
     out = advance(tree, token)
-    assert [id(n) for n in out.frontier] == [id(n) for n in tree.leaves()]
+    assert [id(n) for n in out.completed] == [id(n) for n in last]
     return out
 
 
@@ -505,6 +513,88 @@ def test_an_advance_that_moved_nothing_leaves_a_pruned_tree_pruned(ps, ops, pick
             assert not prune(tree, epsilon)
 
 
+# An epsilon is a fixed value, the mass of a named leaf, or the float just
+# above the mass of a named internal node, so that a leaf at exactly epsilon
+# and an internal node just below it are common.
+EPSILON_PICKS = st.sampled_from([0.0, 0.02, 0.1]) | st.tuples(
+    st.sampled_from(["leaf", "internal"]), st.integers(0, 99))
+# "follow" with True follows one of the deepest hypotheses, so that
+# expansions below expansions are common.
+HIT_OPERATIONS = st.one_of(
+    st.tuples(st.just("advance"), TOKEN_PICKS),
+    st.tuples(st.just("follow"), st.integers(0, 9), st.booleans()),
+    st.tuples(st.just("prune"), EPSILON_PICKS),
+)
+
+
+def picked_epsilon(tree, pick):
+    if isinstance(pick, float):
+        return pick
+    kind, index = pick
+    named = [n for n in tree.walk() if n is not tree.root and not n.is_other]
+    internal = [n for n in named if n.children]
+    if kind == "internal" and internal:
+        return math.nextafter(internal[index % len(internal)].path_p, math.inf)
+    leaves = [n for n in named if not n.children]
+    return leaves[index % len(leaves)].path_p if leaves else 0.02
+
+
+def test_completed_leaves_are_the_expandable_ones_and_prune_folds_exactly_below():
+    # The session's discipline: after every advance, expand every expandable
+    # leaf the advance completed. Then those are all the tree's expandable
+    # leaves, and a prune changes the tree exactly when a named node is
+    # below epsilon.
+    seen = Counter()
+
+    def advance_and_expand(tree, token, d, data):
+        out = advance(tree, token)
+        expandable = expandable_leaves(list(tree.leaves()), d)
+        assert [n for n in out.completed if n.depth < d] == expandable
+        for leaf in expandable_leaves(out.completed, d):
+            seen[f"expansion at depth {leaf.depth + 1}"] += 1
+            empty = data.draw(st.booleans())
+            assert expand(tree, leaf, () if empty else data.draw(prediction_sets(bare_end=True)))
+
+    @TREE_PROPERTY
+    @given(prediction_sets(bare_end=True), st.integers(1, 4),
+           st.lists(HIT_OPERATIONS, min_size=4, max_size=14), st.data())
+    def run(ps, d, ops, data):
+        tree = build_tree((), ps)
+        for op in ops:
+            if op[0] == "advance":
+                advance_and_expand(tree, picked_token(tree, op[1]), d, data)
+            elif op[0] == "follow":
+                unconsumed = [n for n in tree.walk() if not n.is_other and not n.consumed]
+                if unconsumed and op[2]:
+                    deepest = max(n.depth for n in unconsumed)
+                    unconsumed = [n for n in unconsumed if n.depth == deepest]
+                if unconsumed:
+                    node = unconsumed[op[1] % len(unconsumed)]
+                    for token in node.edge[node.edge_pos:]:
+                        advance_and_expand(tree, token, d, data)
+            else:
+                pruned(tree, picked_epsilon(tree, op[1]))
+            check_invariants(tree)
+        # end on an internal node just below epsilon, then a leaf at it
+        for pick in (("internal", len(ops)), ("leaf", len(ops))):
+            pruned(tree, picked_epsilon(tree, pick))
+            check_invariants(tree)
+
+    def pruned(tree, epsilon):
+        named = [n for n in tree.walk() if n is not tree.root and not n.is_other]
+        below = [n for n in named if n.path_p < epsilon]
+        seen["internal node below epsilon"] += any(n.children for n in below)
+        seen["leaf at epsilon"] += any(not n.children and n.path_p == epsilon
+                                       for n in named)
+        before = tree.dump()
+        assert prune(tree, epsilon) == bool(below)
+        assert (tree.dump() == before) == (not below)
+
+    run()
+    assert seen["internal node below epsilon"] and seen["leaf at epsilon"], seen
+    assert seen["expansion at depth 2"] and seen["expansion at depth 3"], seen
+
+
 def test_tree_operations_and_a_replay_leave_no_cyclic_garbage(
         shopping_backend, shopping_table, shopping_transcript):
     ranked = ps_of(("p", 0.5, "tp"), ("q", 0.3, "tq"))
@@ -513,7 +603,7 @@ def test_tree_operations_and_a_replay_leave_no_cyclic_garbage(
     try:
         tree = build_tree((), prediction_set(
             [Prediction(("a",), 0.5, ("ta",)), Prediction(("b",), 0.3, ("tb",))]))
-        for node in expandable_leaves(advance(tree, "a").frontier, 3):
+        for node in expandable_leaves(advance(tree, "a").completed, 3):
             expand(tree, node, ranked)
         advance(tree, "p")
         prune(tree, 0.2)
