@@ -17,6 +17,7 @@ import heapq
 import json
 import math
 import sys
+from collections import Counter
 from typing import Iterable, Sequence
 
 START = "<s>"
@@ -212,23 +213,32 @@ def train_ngram(corpus: Sequence[Sequence[str]], order: int,
                 alpha: float = 0.1) -> NgramModel:
     """Count-based training; sentences are start-padded and END-terminated.
     ValueError on a sentence that holds START or END itself, which the
-    counts could not tell from the padding and the utterance end."""
+    counts could not tell from the padding and the utterance end.
+
+    The padding gives every token a full window of order tokens ending at
+    it, and each shorter history of the token is a suffix of that window's
+    first order - 1 tokens. So one Counter update per sentence counts its
+    windows, and each history's counts are sums over the distinct windows.
+    Taken in order of first occurrence, the windows also insert every
+    history and row key in the order a token-by-token count would."""
     if not corpus:
         raise EmptyCorpus("no sentences in corpus")
-    counts: dict[tuple[str, ...], dict[str, int]] = {}
+    windows: Counter[tuple[str, ...]] = Counter()
     vocab: set[str] = set()
     for n, sent in enumerate(corpus, start=1):
         clash = {START, END}.intersection(sent)
         if clash:
             raise ValueError(f"sentence {n} holds the reserved symbol {min(clash)}")
         vocab.update(sent)
-        seq = [START] * (order - 1) + list(sent) + [END]
-        for i in range(order - 1, len(seq)):
-            nxt = seq[i]
-            for ell in range(order):
-                hist = tuple(seq[i - ell:i])
-                row = counts.setdefault(hist, {})
-                row[nxt] = row.get(nxt, 0) + 1
+        seq = (START,) * (order - 1) + tuple(sent) + (END,)
+        windows.update(zip(*(seq[i:] for i in range(order))))
+    counts: dict[tuple[str, ...], dict[str, int]] = {}
+    last = order - 1
+    for window, c in windows.items():
+        nxt = window[last]
+        for ell in range(order):
+            row = counts.setdefault(window[last - ell:last], {})
+            row[nxt] = row.get(nxt, 0) + c
     return NgramModel(order, alpha, vocab, counts)
 
 

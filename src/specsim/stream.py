@@ -4,12 +4,18 @@ Transcripts replace live speech recognition: they carry pre-tokenized source
 tokens with logical millisecond timestamps, so replays are deterministic and
 never read the wall clock. All types here are immutable after construction
 and safe to share across threads.
+
+Loading transcripts is most of a replay's set-up, so `parse_transcript`
+walks the text in place. A record line in the form `serialize_transcript`
+writes decodes with one regular-expression match and builds no dict; any
+other line is decoded as JSON, and both feed the same checks.
 """
 
 from __future__ import annotations
 
 import json
 import json.scanner
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -136,11 +142,12 @@ _scan = json.scanner.make_scanner(json.JSONDecoder())
 
 def _record(raw: str, lineno: int, invalid: str):
     """The one JSON value on a line, between JSON whitespace; anything else
-    on the line (no value, a second value, trailing text) is refused."""
+    on the line (no value, a second value, trailing text) is refused, as is
+    an integer longer than int() converts (a bare ValueError)."""
     text = raw.strip(" \t\r\n")
     try:
         value, end = _scan(text, 0)
-    except (StopIteration, json.JSONDecodeError):
+    except (StopIteration, ValueError):  # JSONDecodeError is a ValueError
         raise MalformedRecord(invalid, lineno) from None
     except RecursionError:
         raise MalformedRecord("JSON is nested too deeply", lineno) from None
@@ -149,20 +156,39 @@ def _record(raw: str, lineno: int, invalid: str):
     return value
 
 
+def _fields(rec: dict, lineno: int) -> tuple[int, str, int, bool]:
+    """(i, tok, t_ms, final) of a decoded record, checked in that order."""
+    try:
+        idx, tok, t_ms = rec["i"], rec["tok"], rec["t_ms"]
+    except KeyError as missing:
+        raise MalformedRecord(f"missing field {missing}", lineno) from None
+    # JSON decodes numbers to exact int (or float) and true/false to bool,
+    # an int subclass that the exact type test refuses.
+    if type(idx) is not int or type(tok) is not str or type(t_ms) is not int:
+        raise MalformedRecord("field types must be i:int tok:str t_ms:int", lineno)
+    if not tok:
+        raise MalformedRecord("empty token", lineno)
+    is_final = rec.get("final", False)
+    if type(is_final) is not bool:
+        raise MalformedRecord("final must be true or false", lineno)
+    return idx, tok, t_ms, is_final
+
+
+# A record line exactly as serialize_transcript writes it (json.dumps with
+# its default separators), up to and including the line feed that ends it:
+# a token with no character json.dumps escapes, and i and t_ms of at most
+# 18 digits, which int() converts without a digit limit. Such a line is one
+# valid JSON object whose fields pass every check _fields makes.
+_CANONICAL = re.compile(
+    r'\{"i": (0|[1-9][0-9]{0,17}), "tok": "([^"\\\x00-\x1f]+)", '
+    r'"t_ms": (0|[1-9][0-9]{0,17})(, "final": true)?\}(?:\n|\Z)')
+
+
 # The frozen __init__ sets each field through object.__setattr__; the slot
 # descriptors set them directly, in about half the time per event.
+# parse_transcript builds each TokenEvent with them, from checked fields.
 _set_index, _set_surface, _set_t_ms, _set_final = (
     TokenEvent.__dict__[name].__set__ for name in ("index", "surface", "t_ms", "is_final"))
-
-
-def _event(index: int, surface: str, t_ms: int, is_final: bool) -> TokenEvent:
-    """TokenEvent(index, surface, t_ms, is_final), built from checked fields."""
-    ev = object.__new__(TokenEvent)
-    _set_index(ev, index)
-    _set_surface(ev, surface)
-    _set_t_ms(ev, t_ms)
-    _set_final(ev, is_final)
-    return ev
 
 
 def parse_transcript(text: str) -> Transcript:
@@ -179,13 +205,24 @@ def parse_transcript(text: str) -> Transcript:
     end a record. A record line holds one JSON value and nothing else but
     JSON whitespace.
 
+    The records are read in place, one line after the other, with no list
+    of lines. A line in the exact form serialize_transcript writes (see
+    _CANONICAL) is decoded by one regular-expression match; every other
+    line, from other spacing or key order to an escape, a CRLF end or
+    invalid JSON, is decoded as JSON. Both decoders feed the same final
+    marker, index and time checks, so they accept and refuse alike.
+
     Each check raises at the first failure, in the order written; on a valid
     record no exception object is built.
     """
-    lines = text.split("\n")
-    if not lines[0].strip():
+    n = len(text)
+    end = text.find("\n")
+    if end < 0:
+        end = n
+    first = text[:end]
+    if not first.strip():
         raise MalformedRecord("missing header line", 1)
-    header = _record(lines[0], 1, "header is not valid JSON")
+    header = _record(first, 1, "header is not valid JSON")
     if not isinstance(header, dict) or "src" not in header or "tgt" not in header:
         raise MalformedRecord("header must carry src and tgt", 1)
     src, tgt = header["src"], header["tgt"]
@@ -200,32 +237,40 @@ def parse_transcript(text: str) -> Transcript:
     events: list[TokenEvent] = []
     final_seen = False
     last_t = 0
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        rec = _record(raw, lineno, "not valid JSON")
-        if not isinstance(rec, dict):
-            raise MalformedRecord("record must be a JSON object", lineno)
+    lineno = 1
+    pos = end + 1
+    match, new = _CANONICAL.match, object.__new__
+    while pos < n:
+        lineno += 1
+        m = match(text, pos)  # anchored at pos: the line's start
+        if m is None:
+            end = text.find("\n", pos)
+            if end < 0:
+                end = n
+            raw, pos = text[pos:end], end + 1
+            if not raw.strip():
+                continue
+            rec = _record(raw, lineno, "not valid JSON")
+            if not isinstance(rec, dict):
+                raise MalformedRecord("record must be a JSON object", lineno)
         if final_seen:
             raise MalformedRecord("event after final marker", lineno)
-        try:
-            idx, tok, t_ms = rec["i"], rec["tok"], rec["t_ms"]
-        except KeyError as missing:
-            raise MalformedRecord(f"missing field {missing}", lineno) from None
-        # JSON decodes numbers to exact int (or float) and true/false to bool,
-        # an int subclass that the exact type test refuses.
-        if type(idx) is not int or type(tok) is not str or type(t_ms) is not int:
-            raise MalformedRecord("field types must be i:int tok:str t_ms:int", lineno)
-        if not tok:
-            raise MalformedRecord("empty token", lineno)
-        is_final = rec.get("final", False)
-        if type(is_final) is not bool:
-            raise MalformedRecord("final must be true or false", lineno)
+        if m is None:
+            idx, tok, t_ms, is_final = _fields(rec, lineno)
+        else:
+            pos = m.end()
+            idx, tok, t_ms, is_final = m.groups()
+            idx, t_ms, is_final = int(idx), int(t_ms), is_final is not None
         if idx != len(events):
             raise IndexGap(f"expected index {len(events)}, got {idx}", lineno)
         if events and t_ms < last_t:
             raise NonMonotonicTime(f"t_ms {t_ms} < {last_t}", lineno)
-        events.append(_event(idx, tok, t_ms, is_final))
+        ev = new(TokenEvent)
+        _set_index(ev, idx)
+        _set_surface(ev, tok)
+        _set_t_ms(ev, t_ms)
+        _set_final(ev, is_final)
+        events.append(ev)
         final_seen, last_t = is_final, t_ms
     if not events or not final_seen:
         raise MissingFinalMarker()

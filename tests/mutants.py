@@ -3,9 +3,11 @@
 The hot path rests on shortcuts argued to be exact: the skips the
 `engine.py` docstring names, the leaves `advance` hands back as completed,
 `prune`'s one scan, and the thresholds `_TAU_SLACK`, `_RENORM_SKIP` and
-epsilon. Each mutant below breaks one of them by replacing one exact text
-of one file, and names the tests that must fail once it is applied, so a
-change that drops the test that kills a mutant is caught. A mutant that
+epsilon; set-up rests on two more, the canonical record decoder of
+`parse_transcript` and the window counts of `train_ngram`. Each mutant
+below breaks one of them by replacing one exact text of one file, and
+names the tests that must fail once it is applied, so a change that drops
+the test that kills a mutant is caught. A mutant that
 only skips work gives the same outputs, so no test can kill it: it is
 marked equivalent, with the reason, and the runner only checks that its
 text still applies. Mutation testing follows DeMillo, Lipton and Sayward,
@@ -44,7 +46,9 @@ class Mutant:
 
 
 TREE, ENGINE = "src/specsim/tree.py", "src/specsim/engine.py"
+STREAM = "src/specsim/stream.py"
 T_TREE, T_ENGINE = "tests/test_tree.py::", "tests/test_engine.py::"
+T_STREAM = "tests/test_stream.py::"
 PROPERTY = T_TREE + "test_completed_leaves_are_the_expandable_ones_and_prune_folds_exactly_below"
 REFERENCE = T_ENGINE + "test_the_engine_matches_the_reference_after_every_tick"
 SCRIPTED, NGRAM = REFERENCE + "[scripted]", REFERENCE + "[ngram]"
@@ -115,8 +119,24 @@ MUTANTS = (
            ("tests/test_predictor.py::test_ngram_backend_memo_is_lru_bounded",)),
     Mutant("stream-rescanned", "src/specsim/phrases.py",
            "if isinstance(prefix, PrefixView) and prefix.table is table and prefix.is_current():",
-           "if False:",  # the same split, from scratch: past the test's time budget
-           ("tests/test_acceptance.py::test_c9_determinism_and_throughput",)),
+           "if False:",  # the same split, from scratch: hundreds of scans per token
+           ("tests/test_phrases.py::"
+            "test_a_monologue_replay_scans_each_source_token_a_bounded_number_of_times",)),
+    # -- the canonical transcript decoder and the window-count training
+    Mutant("canonical-token-backslash", STREAM, r'[^"\\\x00-\x1f]', r'[^"\x00-\x1f]',
+           (T_STREAM + "test_parse_agrees_with_the_decode_based_parser",
+            T_STREAM + "test_roundtrip_property_on_arbitrary_unicode_tokens")),
+    Mutant("canonical-skips-index", STREAM, "idx, t_ms, is_final = int(idx),",
+           "idx, t_ms, is_final = len(events),",
+           (T_STREAM + "test_parse_agrees_with_the_decode_based_parser",
+            T_STREAM + "test_canonical_records_are_refused_as_their_json_spelling_is")),
+    Mutant("canonical-not-contiguous", STREAM, "_CANONICAL.match, object.__new__",
+           "_CANONICAL.search, object.__new__",  # a match may start past the line's start
+           (T_STREAM + "test_canonical_records_are_refused_as_their_json_spelling_is",)),
+    Mutant("train-drops-shortest-history", "src/specsim/ngram.py",
+           "for ell in range(order):", "for ell in range(1, order):",
+           ("tests/test_ngram.py::test_training_matches_token_by_token_counting",
+            "tests/test_ngram.py::test_train_unigram_single_token")),
 )
 
 

@@ -12,7 +12,7 @@ import json
 import math
 
 from specsim.engine import OutputEvent, Session
-from specsim.ngram import BACKOFF_FACTOR, END
+from specsim.ngram import BACKOFF_FACTOR, END, START, EmptyCorpus, NgramModel
 from specsim.predictor import NgramBackend
 from specsim.stream import (IndexGap, MalformedRecord, MissingFinalMarker,
                             NonMonotonicTime, TokenEvent, Transcript)
@@ -129,6 +129,28 @@ def tree_state(tree):
 def total_mass(tree) -> float:
     """The leaves' mass, correctly rounded."""
     return math.fsum(n.path_p for n in tree.leaves())
+
+
+def train_ngram_oracle(corpus, order, alpha=0.1) -> NgramModel:
+    """Token-by-token counting: every history of every token of every
+    start-padded, END-terminated sentence, one increment each."""
+    if not corpus:
+        raise EmptyCorpus("no sentences in corpus")
+    counts: dict[tuple[str, ...], dict[str, int]] = {}
+    vocab: set[str] = set()
+    for n, sent in enumerate(corpus, start=1):
+        clash = {START, END}.intersection(sent)
+        if clash:
+            raise ValueError(f"sentence {n} holds the reserved symbol {min(clash)}")
+        vocab.update(sent)
+        seq = [START] * (order - 1) + list(sent) + [END]
+        for i in range(order - 1, len(seq)):
+            nxt = seq[i]
+            for ell in range(order):
+                hist = tuple(seq[i - ell:i])
+                row = counts.setdefault(hist, {})
+                row[nxt] = row.get(nxt, 0) + 1
+    return NgramModel(order, alpha, vocab, counts)
 
 
 def conditional_oracle(model, history, token) -> float:
@@ -248,7 +270,7 @@ _decode = json.JSONDecoder().decode
 def _record_oracle(raw, lineno, invalid):
     try:
         return _decode(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # a JSONDecodeError, or an integer past int()'s digit limit
         raise MalformedRecord(invalid, lineno) from None
     except RecursionError:
         raise MalformedRecord("JSON is nested too deeply", lineno) from None

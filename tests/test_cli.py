@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -270,6 +271,15 @@ def test_train_hand_counts_and_idempotence(tmp_path, capsys):
     assert run_cli("train", "--corpus", str(corpus), "--order", "2",
                    "--model", str(out)) == 0
     assert out.read_bytes() == first
+
+
+def test_train_writes_the_pinned_toy_model(tmp_path):
+    # the same run and pin as CI's console-script step
+    out = tmp_path / "model.json"
+    assert run_cli("train", "--corpus", str(FIXTURES / "toy" / "corpus.txt"),
+                   "--order", "2", "--model", str(out)) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == EXPECTED["toy_model_order_2_sha256"]
 
 
 def test_train_empty_corpus_fails(tmp_path, capsys):

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from specsim.ngram import (END, START, EmptyCorpus, NgramModel, parse_corpus,
                            train_ngram)
 
-from oracles import conditional_oracle, enumerate_continuations, perplexity_oracle
+from oracles import (conditional_oracle, enumerate_continuations, perplexity_oracle,
+                     train_ngram_oracle)
 
 
 def test_train_hand_counts_order2():
@@ -34,6 +35,55 @@ def test_train_unigram_single_token():
 def test_train_empty_corpus_rejected():
     with pytest.raises(EmptyCorpus):
         train_ngram([], 2)
+
+
+@st.composite
+def corpora(draw):
+    """(order, corpus): up to 12 sentences drawn from at most 4 distinct ones,
+    so most corpora repeat a sentence, and in about one in four a sentence
+    holds a reserved symbol."""
+    order = draw(st.integers(1, 4))
+    sigma = "abcd"[:draw(st.integers(1, 4))]
+    distinct = draw(st.lists(st.lists(st.sampled_from(sigma), max_size=6),
+                             min_size=1, max_size=4))
+    corpus = [list(draw(st.sampled_from(distinct))) for _ in range(draw(st.integers(0, 12)))]
+    if corpus and not draw(st.integers(0, 3)):
+        sent = corpus[draw(st.integers(0, len(corpus) - 1))]
+        sent.insert(draw(st.integers(0, len(sent))), draw(st.sampled_from([START, END])))
+    return order, corpus
+
+
+def _trained(train, order, corpus):
+    try:
+        return train(corpus, order)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def test_training_matches_token_by_token_counting():
+    seen = {"repeat": 0, "clash": 0, "order": set()}
+
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(corpora())
+    def agree(order_corpus):
+        order, corpus = order_corpus
+        got, want = (_trained(train, order, corpus)
+                     for train in (train_ngram, train_ngram_oracle))
+        if isinstance(want, tuple):  # the same error class, message and sentence
+            assert got == want
+            seen["clash"] += want[0] is ValueError and "reserved symbol" in want[1]
+            return
+        seen["repeat"] += len({tuple(s) for s in corpus}) < len(corpus)
+        seen["order"].add(order)
+        assert (got.order, got.vocab, got.totals) == (want.order, want.vocab, want.totals)
+        # equal counts, histories and row keys inserted in the same order
+        assert got.counts == want.counts
+        assert list(got.counts) == list(want.counts)
+        assert all(list(got.counts[h]) == list(row) for h, row in want.counts.items())
+        assert got.to_json() == want.to_json()
+
+    agree()
+    assert seen["repeat"] > 50 and seen["clash"] > 30 and seen["order"] == {1, 2, 3, 4}
 
 
 def test_additive_smoothing_value():

@@ -6,9 +6,14 @@ import random
 
 import pytest
 
+from specsim import phrases
+from specsim.engine import start_session
 from specsim.phrases import (PhraseTable, StreamTranslation, idiom_spans,
                              parse_phrase_table, translate)
+from specsim.replay import replay
+from specsim.stream import ContextDoc, transcript_from_tokens
 
+from conftest import load_perfbench, set_up_workload
 from oracles import translate_oracle
 
 
@@ -164,3 +169,27 @@ def test_stream_translation_output_only_grows():
         assert state.out is out and out[:len(seen)] == seen
         seen = list(out)
     assert seen == ["AB", "AB"]  # the last "b" stays pending
+
+
+def test_a_monologue_replay_scans_each_source_token_a_bounded_number_of_times(monkeypatch):
+    # The n-gram backend reads the prefix's translation from the session's
+    # stream, which scans each new source token once: about 1.2 scans per
+    # token here. Translating every prefix from scratch scans O(n) tokens per
+    # predict, about 550 per token at 2,000 tokens, and more the longer the
+    # prefix.
+    transcripts, config, table, backend = set_up_workload(
+        load_perfbench("workloads").monologue(1))
+    tokens = transcripts[0].tokens()[:3000]
+    scanned = 0
+    scan = phrases._scan
+
+    def counting_scan(table, source, pos, stop, out):
+        nonlocal scanned
+        end = scan(table, source, pos, stop, out)
+        scanned += end - pos
+        return end
+
+    monkeypatch.setattr(phrases, "_scan", counting_scan)
+    replay(transcript_from_tokens(tokens),
+           start_session(config, ContextDoc("c"), backend, table), (1,))
+    assert len(tokens) <= scanned <= 3 * len(tokens)

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specsim import stream
 from specsim.stream import (EngineConfig, IndexGap, MalformedRecord,
                             MissingFinalMarker, NonMonotonicTime, TokenEvent,
                             Transcript, TranscriptError, config_from_json,
@@ -105,8 +107,28 @@ def test_parse_rejects_bad_header():
         assert err.value.line == 1
 
 
+# the longest decimal int() converts, when it has a limit (Python 3.11 and
+# the 3.10 bug-fix releases since 3.10.7 do)
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="int() converts any number of digits")
+@pytest.mark.parametrize("line", [1, 2])
+def test_parse_refuses_an_integer_longer_than_int_converts_naming_its_line(line):
+    big = "1" * (INT_DIGITS + 1)
+    records = [HEADER, '{"i":0,"tok":"a","t_ms":0,"final":true}']
+    records[line - 1] = records[line - 1][:-1] + ',"n":' + big + "}"
+    with pytest.raises(MalformedRecord) as err:
+        parse_transcript(lines(*records))
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: " + ("header is not valid JSON" if line == 1
+                                                 else "not valid JSON")
+
+
 EV0 = '{"i":0,"tok":"a","t_ms":100}'
 FINAL0 = '{"i":0,"tok":"a","t_ms":100,"final":true}'
+C_EV0 = '{"i": 0, "tok": "a", "t_ms": 100}'
+C_FINAL0 = '{"i": 0, "tok": "a", "t_ms": 100, "final": true}'
 
 
 # (transcript, class, message, line) for every rejection the parser makes
@@ -179,6 +201,54 @@ REJECTIONS = [
 ]
 
 
+# Records in the exact form serialize_transcript writes take the canonical
+# decoder, or fall back to JSON once the line goes on past the record
+CANONICAL_REJECTIONS = [
+    (lines(HEADER, C_EV0, '{"i": 2, "tok": "b", "t_ms": 200, "final": true}'), IndexGap,
+     "expected index 1, got 2", 3),
+    (lines(HEADER, '{"i": 1, "tok": "a", "t_ms": 100, "final": true}'), IndexGap,
+     "expected index 0, got 1", 2),
+    (lines(HEADER, C_EV0, "", '{"i": 1, "tok": "b", "t_ms": 99, "final": true}'),
+     NonMonotonicTime, "t_ms 99 < 100", 4),
+    (lines(HEADER, C_FINAL0, '{"i": 1, "tok": "b", "t_ms": 200}'), MalformedRecord,
+     "event after final marker", 3),
+    (lines(HEADER, C_EV0, C_EV0), IndexGap, "expected index 1, got 0", 3),
+    (lines(HEADER, C_EV0), MissingFinalMarker,
+     "no event carries the end-of-utterance marker", None),
+    (HEADER + "\n" + C_EV0, MissingFinalMarker,
+     "no event carries the end-of-utterance marker", None),
+    (lines(HEADER, C_EV0 + " " + C_FINAL0), MalformedRecord, "not valid JSON", 2),
+    (lines(HEADER, "x" + C_FINAL0), MalformedRecord, "not valid JSON", 2),
+    (lines(HEADER, C_FINAL0 + C_FINAL0), MalformedRecord, "not valid JSON", 2),
+    (lines(HEADER, C_FINAL0 + "x"), MalformedRecord, "not valid JSON", 2),
+    (lines(HEADER, C_FINAL0 + "\r" + C_FINAL0), MalformedRecord, "not valid JSON", 2),
+    (lines(HEADER, C_EV0, '{"i": 1, "tok": "", "t_ms": 200, "final": true}'),
+     MalformedRecord, "empty token", 3),
+    (lines(HEADER, '{"i": 0, "tok": "a\tb", "t_ms": 0, "final": true}'), MalformedRecord,
+     "not valid JSON", 2),
+    (lines(HEADER, '{"i": 00, "tok": "a", "t_ms": 0, "final": true}'), MalformedRecord,
+     "not valid JSON", 2),
+    (lines(HEADER, '{"i": 0, "tok": "a", "t_ms": 01, "final": true}'), MalformedRecord,
+     "not valid JSON", 2),
+    (lines(HEADER, '{"i": ０, "tok": "a", "t_ms": 0, "final": true}'), MalformedRecord,
+     "not valid JSON", 2),
+    (lines(HEADER, '{"i": 0, "tok": "a", "t_ms": 1000000000000000000000}',
+           '{"i": 1, "tok": "b", "t_ms": 999999999999999999, "final": true}'), NonMonotonicTime,
+     "t_ms 999999999999999999 < 1000000000000000000000", 3),
+]
+
+
+def test_canonical_records_are_refused_as_their_json_spelling_is():
+    for text, exc, message, line in CANONICAL_REJECTIONS:
+        with pytest.raises(TranscriptError) as err:
+            parse_transcript(text)
+        assert (type(err.value), err.value.line) == (exc, line), text
+        assert str(err.value) == (message if line is None else f"line {line}: {message}")
+        # without the spaces, every line takes the JSON decoder
+        compact = text.replace(", ", ",").replace(": ", ":")
+        assert _outcome(parse_transcript, compact) == (exc, line, str(err.value)), text
+
+
 @pytest.mark.parametrize("text, exc, message, line", REJECTIONS,
                          ids=[f"{n}-{case[2]}" for n, case in enumerate(REJECTIONS)])
 def test_parse_rejection_class_message_and_line(text, exc, message, line):
@@ -249,9 +319,10 @@ def test_roundtrip_property_on_arbitrary_unicode_tokens(toks, ref):
 
 
 # JSON values that are not a valid i or t_ms: the decoder maps NaN and the
-# infinities to floats, 1e400 overflows to one, and true/false are bools
+# infinities to floats, 1e400 overflows to one, and true/false are bools;
+# 4,301 digits is past int()'s default limit
 ODD_NUMBERS = ["NaN", "-Infinity", "Infinity", "1e400", "true", "false", "1.0", "-0",
-               "null", '"1"', "[]"]
+               "null", '"1"', "[]", "1" * 4301]
 # lines that str.strip blanks out, JSON whitespace or not
 BLANKS = ["", " ", "\t", "\r", "\x0c", "\x85", " \x0b ", "\u2028", "\u3000"]
 TRAILERS = [" x", "}", ",", "]", " //", "\r\r", "\x0c", "\ufeff", " 1"]
@@ -323,11 +394,83 @@ def _outcome(parse, text):
         return type(err), err.line, str(err)
 
 
-@settings(derandomize=True, max_examples=600, database=None, deadline=None)
-@given(transcript_texts())
-def test_parse_agrees_with_the_decode_based_parser(text):
-    # an equal Transcript, or the same error class, line and message
-    assert _outcome(parse_transcript, text) == _outcome(parse_transcript_oracle, text)
+class _CountingPattern:
+    """Stands in for stream._CANONICAL, counting the lines it decodes."""
+
+    def __init__(self, pattern, taken):
+        self.pattern, self.taken = pattern, taken
+
+    def match(self, text, pos):
+        m = self.pattern.match(text, pos)
+        self.taken["canonical"] += m is not None
+        return m
+
+
+@pytest.fixture()
+def decoders(monkeypatch):
+    """How many record lines each of parse_transcript's decoders takes:
+    "canonical" counts the pattern's matches, "json" the lines after the
+    header that go to _record."""
+    taken = {"canonical": 0, "json": 0}
+    record = stream._record
+
+    def counting_record(raw, lineno, invalid):
+        taken["json"] += lineno > 1
+        return record(raw, lineno, invalid)
+
+    monkeypatch.setattr(stream, "_record", counting_record)
+    monkeypatch.setattr(stream, "_CANONICAL", _CountingPattern(stream._CANONICAL, taken))
+    return taken
+
+
+def test_parse_agrees_with_the_decode_based_parser(decoders):
+    @settings(derandomize=True, max_examples=600, database=None, deadline=None)
+    @given(transcript_texts())
+    def agree(text):
+        # an equal Transcript, or the same error class, line and message
+        assert _outcome(parse_transcript, text) == _outcome(parse_transcript_oracle, text)
+
+    agree()
+    # the generator's json.dumps records are canonical unless they escape a
+    # character; its padded, escaped and CRLF lines are not
+    assert decoders["canonical"] > 200 and decoders["json"] > 500, decoders
+
+
+def test_canonical_and_other_records_mix_in_one_transcript(decoders):
+    text = lines(HEADER, '{"i": 0, "tok": "a", "t_ms": 0}',
+                 '{"i": 1, "tok": "a\\"b", "t_ms": 5}',
+                 ' {"t_ms": 7, "tok": "c", "i": 2}',
+                 '{"i": 3, "tok": "d", "t_ms": 9, "final": true}')
+    tr = parse_transcript(text)
+    assert tr.tokens() == ("a", 'a"b', "c", "d")
+    assert [ev.t_ms for ev in tr.events] == [0, 5, 7, 9]
+    assert decoders == {"canonical": 2, "json": 2}
+
+
+# a token character that json.dumps(..., ensure_ascii=False) writes as itself
+UNESCAPED = st.characters(exclude_characters='"\\' + "".join(map(chr, range(32))))
+
+
+def test_every_serialized_record_takes_the_canonical_decoder(decoders):
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(st.lists(st.text(UNESCAPED, min_size=1), min_size=1, max_size=8),
+           st.lists(st.integers(0, 10 ** 19), min_size=8, max_size=8), st.booleans())
+    def canonical(toks, times, crlf):
+        times = sorted(times)[:len(toks)]
+        events = tuple(TokenEvent(i, tok, t, i == len(toks) - 1)
+                       for i, (tok, t) in enumerate(zip(toks, times)))
+        tr = Transcript("ja", "en", events, tuple(toks))
+        text = serialize_transcript(tr)
+        if crlf:
+            text = text.replace("\n", "\r\n")
+        decoders["canonical"] = decoders["json"] = 0
+        assert parse_transcript(text) == tr
+        # i and t_ms of at most 18 digits decode on the canonical path, and a
+        # CRLF end takes the JSON one
+        fast = 0 if crlf else sum(t < 10 ** 18 for t in times)
+        assert (decoders["canonical"], decoders["json"]) == (fast, len(toks) - fast)
+
+    canonical()
 
 
 def test_parsed_events_are_frozen_and_equal_constructed_ones():
